@@ -11,4 +11,4 @@ Subpackages by job:
 
 __version__ = "0.1.0"
 
-from ._kernels import NUMBA_ENABLED, PURE_NUMPY_ENV  # noqa: F401
+from ._kernels import NUMBA_ENABLED  # noqa: F401

@@ -1,38 +1,23 @@
 """Hot inner loops: LRU TLB replay and trace-order array sums.
 
-Each kernel has a numba-compiled variant and a pure numpy/Python fallback.
-The fallback is selected when numba is not importable or when the
-environment variable PAGESCOPE_PURE_NUMPY is set to 1/true/yes.
-Both variants are exported under stable names so they can be benchmarked
-against each other (see benchmarks/bench_kernels.py).
+Each kernel has a numba-compiled variant and a pure numpy/Python fallback
+that gives identical results. The compiled variant is used exactly when
+numba can be imported (`pip install -e '.[jit]'`); NUMBA_ENABLED says
+which one the stable names below are bound to.
 """
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 
 import numpy as np
 
-PURE_NUMPY_ENV = "PAGESCOPE_PURE_NUMPY"
-
-
-def _pure_numpy_requested() -> bool:
-    return os.environ.get(PURE_NUMPY_ENV, "").strip().lower() in ("1", "true", "yes")
-
-
 try:
     from numba import njit
 
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via the env flag instead
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        raise RuntimeError("numba is not available")
-
-
-NUMBA_ENABLED = HAS_NUMBA and not _pure_numpy_requested()
+    NUMBA_ENABLED = True
+except ImportError:
+    NUMBA_ENABLED = False
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +71,7 @@ def _lru_misses_jit_impl(pages, sets, ways):
     return misses
 
 
-if HAS_NUMBA:
+if NUMBA_ENABLED:
     lru_misses_numba = njit(cache=True)(_lru_misses_jit_impl)
 else:
     lru_misses_numba = None
@@ -121,7 +106,7 @@ def _fill_sum_trace_jit_impl(values, idx, fill):
     return acc
 
 
-if HAS_NUMBA:
+if NUMBA_ENABLED:
     sum_trace_numba = njit(cache=True)(_sum_trace_jit_impl)
     fill_sum_trace_numba = njit(cache=True)(_fill_sum_trace_jit_impl)
 else:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import enum
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -188,7 +187,7 @@ def gen_trace(layout: UnkLayout, pattern: TraversalPattern,
 
 
 def run_kernel(layout: UnkLayout, pattern: TraversalPattern, passes: int,
-               fill: float, alloc: str = "eager", workers: int = 1) -> float:
+               fill: float, alloc: str = "eager") -> float:
     """Allocate the array, fill it, and sum it along the traversal.
 
     alloc="eager" pretouches the whole array with the fill value before any
@@ -215,17 +214,8 @@ def run_kernel(layout: UnkLayout, pattern: TraversalPattern, passes: int,
         checksum += _kernels.fill_sum_trace(arr, idx, fill)
         start_pass = 1
     for _ in range(start_pass, passes):
-        checksum += _sum_pass(arr, idx, workers)
+        checksum += float(_kernels.sum_trace(arr, idx))
     return checksum
-
-
-def _sum_pass(arr: np.ndarray, idx: np.ndarray, workers: int) -> float:
-    if workers <= 1:
-        return float(_kernels.sum_trace(arr, idx))
-    chunks = np.array_split(idx, workers)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        partials = list(pool.map(lambda c: float(_kernels.sum_trace(arr, c)), chunks))
-    return sum(partials)
 
 
 # ---------------------------------------------------------------------------
@@ -250,11 +240,20 @@ def save_trace(trace: AddressTrace, path: str | Path) -> None:
 
 
 def load_trace(path: str | Path) -> AddressTrace:
+    """Read a trace file and its sidecar, if any; ValueError if they disagree
+    or the file is not a whole number of u64 offsets."""
     path = Path(path)
-    offsets = np.frombuffer(path.read_bytes(), dtype="<u8").astype(np.uint64)
+    data = path.read_bytes()
+    if len(data) % 8:
+        raise ValueError(f"{path}: {len(data)} bytes is not a whole number "
+                         f"of 8-byte offsets")
+    offsets = np.frombuffer(data, dtype="<u8").astype(np.uint64)
     side = sidecar_path(path)
     if side.exists():
         meta = json.loads(side.read_text())
+        if meta.get("accesses") != offsets.shape[0]:
+            raise ValueError(f"{side}: sidecar says {meta.get('accesses')} "
+                             f"accesses, trace holds {offsets.shape[0]}")
         layout = UnkLayout.from_dict(meta["layout"]) if meta["layout"] else None
         pattern = TraversalPattern(meta["pattern"]) if meta["pattern"] else None
         return AddressTrace(offsets, meta["elem_bytes"], layout, pattern,

@@ -1,6 +1,7 @@
 """pagescope command line: run experiments, replay traces, inspect hosts.
 
-Exit codes: 0 success, 2 workload failure, 3 capability failure.
+Exit codes: 0 success, 2 workload failure, 3 capability or input failure
+(a bad flag value, config file or trace file gives a one-line error).
 """
 
 from __future__ import annotations
@@ -11,10 +12,9 @@ import sys
 from pathlib import Path
 
 from . import blockmesh, report, tlbsim
-from .counterhub import default_events, parse_event_names
+from .counterhub import EVENT_NAMES, default_events
 from .hugepagectl import HugePageMode, RealFs, ThpMode, parse_thp, write_thp
 from .hugepagectl import THP_ENABLED_PATH
-from .metrics import CpuSpec
 
 EXIT_OK = 0
 EXIT_WORKLOAD = 2
@@ -24,13 +24,14 @@ _PATTERN_TOKENS = {"zone": blockmesh.TraversalPattern.ZoneSweep,
                    "block": blockmesh.TraversalPattern.BlockSweep,
                    "var": blockmesh.TraversalPattern.VarSweep,
                    "sum2d": blockmesh.TraversalPattern.RepeatedSum2D}
+DEFAULT_LAYOUT = "5,16,16,16,16"
 
 
 def _parse_layout(text: str) -> blockmesh.UnkLayout:
     try:
         nvar, ni, nj, nk, blocks = (int(x) for x in text.split(","))
     except ValueError:
-        raise SystemExit(f"--layout wants nvar,ni,nj,nk,blocks, got {text!r}")
+        raise ValueError(f"--layout wants nvar,ni,nj,nk,blocks, got {text!r}") from None
     return blockmesh.UnkLayout.simple(nvar, ni, nj, nk, blocks)
 
 
@@ -57,9 +58,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="built-in workload; or pass an external command "
                           "after --")
     run.add_argument("--layout", default=None,
-                     help="nvar,ni,nj,nk,blocks (default 5,16,16,16,16)")
+                     help=f"nvar,ni,nj,nk,blocks (default {DEFAULT_LAYOUT})")
     run.add_argument("--n", type=int, default=None,
-                     help="square side for the sum2d workload")
+                     help="square side N: layout 1,N,N,1,1 (for the sum2d workload)")
     run.add_argument("--passes", type=int, default=None)
     run.add_argument("--alloc", choices=["eager", "demand"], default=None)
     run.add_argument("--repetitions", type=int, default=None)
@@ -78,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     tlb.add_argument("--out", default=None, help="write CSV here instead of stdout")
 
     tr = sub.add_parser("trace", help="generate a workload address trace")
-    tr.add_argument("--layout", default="5,16,16,16,16")
+    tr.add_argument("--layout", default=DEFAULT_LAYOUT)
     tr.add_argument("--pattern", default="block", choices=sorted(_PATTERN_TOKENS))
     tr.add_argument("--passes", type=int, default=1)
     tr.add_argument("--out", required=True)
@@ -101,61 +102,44 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _given(**flags) -> dict:
+    """The flags that were given on the command line, i.e. are not None."""
+    return {key: value for key, value in flags.items() if value is not None}
+
+
 def _build_run_config(args) -> report.ExperimentConfig:
-    cfg_dict = {}
+    """Defaults (events from PAPI_EVENTS, the real counter backend), then
+    the config file, then each flag that was given, built in one step."""
+    d = {"backend": "real",
+         "events": sorted(EVENT_NAMES[ev] for ev in default_events()),
+         "workload": {"kind": "zone-sweep",
+                      "layout": _parse_layout(DEFAULT_LAYOUT).to_dict()}}
     if args.config:
-        cfg_dict = json.loads(Path(args.config).read_text())
+        d.update(json.loads(Path(args.config).read_text()))
 
+    layout = None
+    if args.n is not None:
+        layout = blockmesh.UnkLayout.simple(1, args.n, args.n, 1, 1).to_dict()
+    elif args.layout is not None:
+        layout = _parse_layout(args.layout).to_dict()
     command = [c for c in args.command if c != "--"]
-    if command:
-        workload = report.WorkloadSpec(kind=report.EXTERNAL, argv=tuple(command))
-    elif args.workload or "workload" not in cfg_dict:
-        kind = args.workload or "zone-sweep"
-        if kind == "sum2d" and args.n:
-            layout = blockmesh.UnkLayout.simple(1, args.n, args.n, 1, 1)
-        else:
-            layout = _parse_layout(args.layout or "5,16,16,16,16")
-        workload = report.WorkloadSpec(kind=kind, layout=layout,
-                                       passes=args.passes or 1,
-                                       alloc=args.alloc or "eager")
-    else:
-        workload = report.WorkloadSpec.from_dict(cfg_dict["workload"])
-
-    if cfg_dict:
-        cfg_dict.setdefault("workload", workload.to_dict())
-        config = report.ExperimentConfig.from_dict(cfg_dict)
-    else:
-        config = report.ExperimentConfig(workload=workload)
-    # Flags override the config file where given.
-    cpu = config.cpu
-    if args.freq_hz or args.line_bytes:
-        cpu = CpuSpec(freq_hz=args.freq_hz or cpu.freq_hz,
-                      cache_line_bytes=args.line_bytes or cpu.cache_line_bytes)
-    events = config.events
-    if args.events:
-        events = parse_event_names(args.events)
-    elif not args.config:
-        events = default_events()
-    from dataclasses import replace
-    config = replace(
-        config,
-        workload=workload if (command or args.workload or not args.config)
-        else config.workload,
-        baseline=HugePageMode(args.mode_a) if args.mode_a else config.baseline,
-        treatment=HugePageMode(args.mode_b) if args.mode_b else config.treatment,
-        events=events,
-        cpu=cpu,
-        repetitions=args.repetitions or config.repetitions,
-        backend="simulated" if args.simulate_counters else config.backend,
-        label=args.label or config.label,
-    )
-    return config
+    d["workload"] = ({"kind": report.EXTERNAL, "argv": command} if command else
+                     {**d["workload"], **_given(kind=args.workload, layout=layout,
+                                                passes=args.passes, alloc=args.alloc)})
+    d["cpu"] = {**d.get("cpu", {}),
+                **_given(freq_hz=args.freq_hz, line_bytes=args.line_bytes)}
+    d.update(_given(
+        baseline=args.mode_a, treatment=args.mode_b,
+        repetitions=args.repetitions, label=args.label,
+        events=None if args.events is None else args.events.split(","),
+        backend="simulated" if args.simulate_counters else None))
+    return report.ExperimentConfig.from_dict(d)
 
 
 def _cmd_run(args) -> int:
     try:
         config = _build_run_config(args)
-    except (ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         print(f"bad configuration: {exc}", file=sys.stderr)
         return EXIT_CAPABILITY
     try:
@@ -178,25 +162,34 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
+def _input_error(exc: Exception) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return EXIT_CAPABILITY
+
+
 def _cmd_tlbsim(args) -> int:
-    trace = blockmesh.load_trace(args.trace)
-    sizes = sorted(tlbsim.parse_size(tok) for tok in args.sizes.split(","))
-    config = tlbsim.TlbConfig(entries=args.entries, associativity=args.assoc,
-                              page_size_bytes=sizes[0])
-    rows = tlbsim.page_size_sweep(trace, config, sizes)
-    csv = tlbsim.sweep_csv(rows)
-    if args.out:
-        Path(args.out).write_text(csv)
-    else:
+    try:
+        trace = blockmesh.load_trace(args.trace)
+        sizes = sorted(tlbsim.parse_size(tok) for tok in args.sizes.split(","))
+        config = tlbsim.TlbConfig(entries=args.entries, associativity=args.assoc,
+                                  page_size_bytes=sizes[0])
+        csv = tlbsim.sweep_csv(tlbsim.page_size_sweep(trace, config, sizes))
+        if args.out:
+            Path(args.out).write_text(csv)
+    except (OSError, ValueError, KeyError) as exc:
+        return _input_error(exc)
+    if not args.out:
         print(csv, end="")
     return EXIT_OK
 
 
 def _cmd_trace(args) -> int:
-    layout = _parse_layout(args.layout)
-    trace = blockmesh.gen_trace(layout, _PATTERN_TOKENS[args.pattern],
-                                passes=args.passes)
-    blockmesh.save_trace(trace, args.out)
+    try:
+        trace = blockmesh.gen_trace(_parse_layout(args.layout),
+                                    _PATTERN_TOKENS[args.pattern], passes=args.passes)
+        blockmesh.save_trace(trace, args.out)
+    except (OSError, ValueError) as exc:
+        return _input_error(exc)
     print(f"{trace.accesses} accesses -> {args.out} "
           f"(+ sidecar {blockmesh.sidecar_path(args.out).name})")
     return EXIT_OK

@@ -18,7 +18,7 @@ import shutil
 import statistics
 import subprocess
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import blockmesh, render
@@ -49,7 +49,8 @@ from .hugepagectl import (
     parse_thp,
     plan_launch,
 )
-from .metrics import CpuSpec, DerivedMetrics, RatioRow, derive, elapsed_timer, ratios
+from .metrics import (LABEL_TIMER, MEASURE_LABELS, CpuSpec, DerivedMetrics, RatioRow,
+                      derive, elapsed_timer, metrics_cells, ratios)
 
 
 class WorkloadFailed(RuntimeError):
@@ -162,10 +163,7 @@ class ExperimentConfig:
     def increments_for(self, role: str) -> dict[EventId, int]:
         if not self.simulated_increments:
             return dict(DEFAULT_SIM_INCREMENTS)
-        for r, pairs in self.simulated_increments:
-            if r == role:
-                return dict(pairs)
-        return {}
+        return dict(dict(self.simulated_increments)[role])
 
     @staticmethod
     def pack_increments(per_role: dict[str, dict[EventId, int]]):
@@ -437,20 +435,13 @@ def _verdict_to_dict(v: UsageVerdict) -> dict:
             "reason": v.reason}
 
 
-def _metrics_to_dict(m: DerivedMetrics) -> dict:
-    return {"hw_cycles": m.hw_cycles, "seconds": m.seconds,
-            "sve_per_cycle": m.sve_per_cycle,
-            "bandwidth_bytes_per_s": m.bandwidth_bytes_per_s,
-            "dtlb_misses_per_s": m.dtlb_misses_per_s}
-
-
 def _run_to_dict(run: RunResult) -> dict:
     regions = {}
     for name, rec in run.records.items():
         regions[name] = {
             "region_count": rec.region_count,
             "totals": {EVENT_NAMES[ev]: int(v) for ev, v in rec.totals.items()},
-            "metrics": (_metrics_to_dict(run.region_metrics[name])
+            "metrics": (asdict(run.region_metrics[name])
                         if name in run.region_metrics else None),
         }
     return {"mode": run.mode.value, "elapsed_s": run.elapsed_s,
@@ -499,20 +490,12 @@ def _as_dict(report: ComparisonReport | dict) -> dict:
 
 
 def _cells_from_run(run: dict, region: str) -> dict[str, float | None]:
-    from . import metrics as mm
     info = run.get("regions", {}).get(region)
     if not info or not info.get("metrics"):
         return {}
-    md = info["metrics"]
-    bw = md.get("bandwidth_bytes_per_s")
-    return {
-        mm.LABEL_CYCLES: md.get("hw_cycles"),
-        mm.LABEL_SECONDS: md.get("seconds"),
-        mm.LABEL_SVE: md.get("sve_per_cycle"),
-        mm.LABEL_BANDWIDTH: None if bw is None else bw / 1e9,
-        mm.LABEL_DTLB: md.get("dtlb_misses_per_s"),
-        mm.LABEL_TIMER: run.get("elapsed_s"),
-    }
+    cells = metrics_cells(DerivedMetrics(**info["metrics"]))
+    cells[LABEL_TIMER] = run.get("elapsed_s")
+    return cells
 
 
 def report_regions(report: ComparisonReport | dict) -> list[str]:
@@ -554,7 +537,6 @@ def render_ratio_chart(reports: list[ComparisonReport | dict],
     """
     if not reports:
         raise ValueError("need at least one report")
-    from . import metrics as mm
     cases = []
     ratios_map: dict[tuple[str, str], float | None] = {}
     labels_present: list[str] = []
@@ -570,7 +552,7 @@ def render_ratio_chart(reports: list[ComparisonReport | dict],
             if row["measure"] not in labels_present:
                 labels_present.append(row["measure"])
             ratios_map[(row["measure"], case)] = row["ratio"]
-    ordered = [lbl for lbl in mm.MEASURE_LABELS if lbl in labels_present]
+    ordered = [lbl for lbl in MEASURE_LABELS if lbl in labels_present]
     ordered += [lbl for lbl in labels_present if lbl not in ordered]
     svg = render.ratio_chart_svg(ordered, cases, ratios_map)
     csv = render.ratio_chart_csv(ordered, cases, ratios_map)

@@ -1,10 +1,11 @@
 """Desk-scale DTLB model: LRU replay of address traces per page size.
 
-simulate() is the set-associative LRU model; stack_distance_oracle() is an
-independent reference for the fully-associative case, deciding each access
-by rescanning the trace for the distinct pages touched since the previous
-access to the same page. The two must agree exactly, which is what the
-acceptance suite checks across randomized traces.
+Replacement is LRU only. simulate() is the set-associative LRU model;
+stack_distance_oracle() is an independent reference for the
+fully-associative case, deciding each access by rescanning the trace for
+the distinct pages touched since the previous access to the same page.
+The two must agree exactly, which is what the acceptance suite checks
+across randomized traces.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ class TlbConfig:
     entries: int = DEFAULT_ENTRIES
     associativity: int | None = None  # None means fully associative
     page_size_bytes: int = PAGE_4K
-    replacement: str = "LRU"
 
     def __post_init__(self):
         if self.entries < 1:
@@ -39,8 +39,6 @@ class TlbConfig:
         p = self.page_size_bytes
         if p & (p - 1) or not PAGE_4K <= p <= PAGE_512M:
             raise ValueError("page size must be a power of two in [4 KiB, 512 MiB]")
-        if self.replacement != "LRU":
-            raise ValueError("only LRU replacement is modeled")
 
     @property
     def ways(self) -> int:

@@ -170,12 +170,6 @@ def test_checksum_identical_across_alloc_strategies(pattern):
     assert eager == 2 * 1.5 * gen_trace(SMALL, pattern).accesses
 
 
-def test_checksum_same_with_parallel_workers():
-    serial = run_kernel(SMALL, TraversalPattern.ZoneSweep, 2, 1.0, workers=1)
-    parallel = run_kernel(SMALL, TraversalPattern.ZoneSweep, 2, 1.0, workers=3)
-    assert serial == parallel
-
-
 def test_bad_alloc_token():
     with pytest.raises(ValueError):
         run_kernel(SMALL, TraversalPattern.ZoneSweep, 1, 1.0, alloc="lazy")

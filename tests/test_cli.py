@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from pagescope.cli import main
+from pagescope.cli import _build_run_config, build_parser, main
 from pagescope.counterhub import EVENT_NAMES, EventId
 from pagescope.hugepagectl import THP_ENABLED_PATH
 
@@ -133,3 +133,78 @@ def test_events_flag_limits_event_set(tmp_path, capsys):
     data = json.loads(next(tmp_path.glob("report-*.json")).read_text())
     totals = data["runs"]["baseline"]["regions"]["zone-sweep"]["totals"]
     assert set(totals) == {"PERF_COUNT_HW_CPU_CYCLES", "DTLB-LOAD-MISSES"}
+
+
+@pytest.mark.parametrize("flags", [
+    ["--n", "0"],
+    ["--passes", "0"],
+    ["--repetitions", "0"],
+    ["--layout", "5,16"],
+    ["--config", "no-such-config.json"],
+], ids=["n-0", "passes-0", "repetitions-0", "short-layout", "missing-config"])
+def test_bad_run_flags_are_bad_configuration(tmp_path, capsys, flags):
+    rc = main(["run", "--simulate-counters", "--workload", "sum2d",
+               "--out", str(tmp_path)] + flags)
+    assert rc == 3
+    assert "bad configuration" in capsys.readouterr().err
+    assert not list(tmp_path.glob("report-*.json"))
+
+
+def test_run_backend_is_real_unless_simulate_counters():
+    parse = build_parser().parse_args
+    assert _build_run_config(parse(["run"])).backend == "real"
+    assert _build_run_config(parse(["run", "--simulate-counters"])).backend == "simulated"
+
+
+def test_run_flags_override_config_file_fields(tmp_path):
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps({
+        "workload": {"kind": "block-sweep", "layout": {
+            "nvar": 2, "i_lo": 1, "i_hi": 4, "j_lo": 1, "j_hi": 4, "k_lo": 1,
+            "k_hi": 2, "maxblocks": 2, "elem_bytes": 8}, "passes": 1},
+        "backend": "simulated", "repetitions": 2, "label": "file"}))
+    config = _build_run_config(build_parser().parse_args(
+        ["run", "--config", str(cfg_path), "--passes", "3", "--label", "flag"]))
+    assert config.workload.passes == 3
+    assert config.workload.layout.maxblocks == 2  # kept from the file
+    assert (config.repetitions, config.label) == (2, "flag")
+    assert config.backend == "simulated"
+
+
+def _missing_trace(tmp_path):
+    return ["tlbsim", "--trace", str(tmp_path / "missing.trace")]
+
+
+def _ragged_trace(tmp_path):
+    path = tmp_path / "ragged.trace"
+    path.write_bytes(bytes(12))
+    return ["tlbsim", "--trace", str(path)]
+
+
+def _sidecar_disagrees(tmp_path):
+    path = tmp_path / "t.trace"
+    main(["trace", "--layout", "2,4,4,2,2", "--out", str(path)])
+    side = Path(str(path) + ".json")
+    meta = json.loads(side.read_text())
+    side.write_text(json.dumps({**meta, "accesses": meta["accesses"] + 1}))
+    return ["tlbsim", "--trace", str(path)]
+
+
+def _malformed_layout(tmp_path):
+    return ["trace", "--layout", "5,16,x", "--out", str(tmp_path / "t.trace")]
+
+
+def _invalid_layout(tmp_path):
+    return ["trace", "--layout", "0,16,16,16,16", "--out", str(tmp_path / "t.trace")]
+
+
+@pytest.mark.parametrize("make_argv", [_missing_trace, _ragged_trace,
+                                       _sidecar_disagrees, _malformed_layout,
+                                       _invalid_layout])
+def test_bad_trace_input_is_one_line_error(tmp_path, capsys, make_argv):
+    argv = make_argv(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -30,8 +30,6 @@ def test_config_validation():
         TlbConfig(page_size_bytes=3000)
     with pytest.raises(ValueError):
         TlbConfig(page_size_bytes=2048)  # below 4 KiB
-    with pytest.raises(ValueError):
-        TlbConfig(replacement="random")
     cfg = TlbConfig(entries=48, associativity=4)
     assert cfg.sets == 12 and cfg.ways == 4
     assert TlbConfig().ways == TlbConfig().entries  # fully associative
