@@ -25,10 +25,6 @@ class IndexOutOfBounds(IndexError):
     pass
 
 
-class EmptyLayout(ValueError):
-    pass
-
-
 class AllocationFailure(MemoryError):
     pass
 
@@ -132,9 +128,6 @@ class AddressTrace:
     def accesses(self) -> int:
         return int(self.offsets.shape[0])
 
-    def element_indices(self) -> np.ndarray:
-        return (self.offsets // self.elem_bytes).astype(np.int64)
-
 
 def address_of(layout: UnkLayout, v: int, i: int, j: int, k: int, b: int) -> int:
     """Byte offset of unk(v, i, j, k, b): column-major, variable fastest."""
@@ -179,8 +172,6 @@ def gen_trace(layout: UnkLayout, pattern: TraversalPattern,
     """Deterministic byte-address trace: `passes` repeats of one pattern pass."""
     if passes < 1:
         raise ValueError("passes must be >= 1")
-    if layout.elements == 0:
-        raise EmptyLayout("layout has no elements")
     single = _single_pass_elements(layout, pattern) * np.uint64(layout.elem_bytes)
     offsets = np.tile(single, passes) if passes > 1 else single
     return AddressTrace(offsets, layout.elem_bytes, layout, pattern, passes)
@@ -198,8 +189,8 @@ def run_kernel(layout: UnkLayout, pattern: TraversalPattern, passes: int,
     """
     if alloc not in ("eager", "demand"):
         raise ValueError(f"alloc must be eager or demand, got {alloc!r}")
-    trace = gen_trace(layout, pattern, passes=1)
-    idx = trace.element_indices()
+    # int64 once here: numpy converts uint64 indices on every gather.
+    idx = _single_pass_elements(layout, pattern).astype(np.int64)
     try:
         if alloc == "eager":
             arr = np.full(layout.elements, fill, dtype=np.float64)
@@ -239,9 +230,17 @@ def save_trace(trace: AddressTrace, path: str | Path) -> None:
     sidecar_path(path).write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
+def _positive_int(meta: dict, key: str) -> int:
+    value = meta[key]
+    if type(value) is not int or value < 1:
+        raise ValueError(f"{key} {value!r} is not a positive integer")
+    return value
+
+
 def load_trace(path: str | Path) -> AddressTrace:
-    """Read a trace file and its sidecar, if any; ValueError if they disagree
-    or the file is not a whole number of u64 offsets."""
+    """Read a trace file and its sidecar, if any; ValueError naming the file
+    if the sidecar is malformed or disagrees with the data, or the file is
+    not a whole number of u64 offsets."""
     path = Path(path)
     data = path.read_bytes()
     if len(data) % 8:
@@ -249,14 +248,25 @@ def load_trace(path: str | Path) -> AddressTrace:
                          f"of 8-byte offsets")
     offsets = np.frombuffer(data, dtype="<u8").astype(np.uint64)
     side = sidecar_path(path)
-    if side.exists():
+    if not side.exists():
+        # Raw stream without a sidecar: offsets only, double-width elements.
+        return AddressTrace(offsets, 8, None, None, 1)
+    try:
         meta = json.loads(side.read_text())
-        if meta.get("accesses") != offsets.shape[0]:
-            raise ValueError(f"{side}: sidecar says {meta.get('accesses')} "
-                             f"accesses, trace holds {offsets.shape[0]}")
+        if not isinstance(meta, dict):
+            raise ValueError("not a JSON object")
         layout = UnkLayout.from_dict(meta["layout"]) if meta["layout"] else None
         pattern = TraversalPattern(meta["pattern"]) if meta["pattern"] else None
-        return AddressTrace(offsets, meta["elem_bytes"], layout, pattern,
-                            meta["passes"])
-    # Raw stream without a sidecar: offsets only, double-width elements.
-    return AddressTrace(offsets, 8, None, None, 1)
+        elem_bytes = _positive_int(meta, "elem_bytes")
+        passes = _positive_int(meta, "passes")
+        if meta["accesses"] != offsets.shape[0]:
+            raise ValueError(f"sidecar says {meta['accesses']} accesses, "
+                             f"trace holds {offsets.shape[0]}")
+        if layout and elem_bytes != layout.elem_bytes:
+            raise ValueError(f"elem_bytes {elem_bytes} disagrees with the "
+                             f"layout's {layout.elem_bytes}")
+    except KeyError as exc:
+        raise ValueError(f"{side}: sidecar has no key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{side}: {exc}") from None
+    return AddressTrace(offsets, elem_bytes, layout, pattern, passes)

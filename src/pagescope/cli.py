@@ -1,7 +1,8 @@
 """pagescope command line: run experiments, replay traces, inspect hosts.
 
 Exit codes: 0 success, 2 workload failure, 3 capability or input failure
-(a bad flag value, config file or trace file gives a one-line error).
+(a bad flag, or a missing or malformed config, trace, sidecar or report
+file). Only `main` turns an exception into an `error: ...` line and a code.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from pathlib import Path
 
 from . import blockmesh, report, tlbsim
 from .counterhub import EVENT_NAMES, default_events
-from .hugepagectl import HugePageMode, RealFs, ThpMode, parse_thp, write_thp
-from .hugepagectl import THP_ENABLED_PATH
+from .hugepagectl import (THP_ENABLED_PATH, HugePageMode, RealFs,
+                          SystemWriteNotAllowed, ThpMode, parse_thp, write_thp)
 
 EXIT_OK = 0
 EXIT_WORKLOAD = 2
@@ -102,6 +103,12 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, not {type(value).__name__}")
+    return value
+
+
 def _given(**flags) -> dict:
     """The flags that were given on the command line, i.e. are not None."""
     return {key: value for key, value in flags.items() if value is not None}
@@ -109,51 +116,41 @@ def _given(**flags) -> dict:
 
 def _build_run_config(args) -> report.ExperimentConfig:
     """Defaults (events from PAPI_EVENTS, the real counter backend), then
-    the config file, then each flag that was given, built in one step."""
+    the config file, then each flag that was given, built in one step; a
+    bad flag value or config file raises ValueError "bad configuration: ..."."""
     d = {"backend": "real",
          "events": sorted(EVENT_NAMES[ev] for ev in default_events()),
          "workload": {"kind": "zone-sweep",
                       "layout": _parse_layout(DEFAULT_LAYOUT).to_dict()}}
-    if args.config:
-        d.update(json.loads(Path(args.config).read_text()))
-
-    layout = None
-    if args.n is not None:
-        layout = blockmesh.UnkLayout.simple(1, args.n, args.n, 1, 1).to_dict()
-    elif args.layout is not None:
-        layout = _parse_layout(args.layout).to_dict()
-    command = [c for c in args.command if c != "--"]
-    d["workload"] = ({"kind": report.EXTERNAL, "argv": command} if command else
-                     {**d["workload"], **_given(kind=args.workload, layout=layout,
-                                                passes=args.passes, alloc=args.alloc)})
-    d["cpu"] = {**d.get("cpu", {}),
-                **_given(freq_hz=args.freq_hz, line_bytes=args.line_bytes)}
-    d.update(_given(
-        baseline=args.mode_a, treatment=args.mode_b,
-        repetitions=args.repetitions, label=args.label,
-        events=None if args.events is None else args.events.split(","),
-        backend="simulated" if args.simulate_counters else None))
-    return report.ExperimentConfig.from_dict(d)
+    try:
+        if args.config:
+            d.update(_object(json.loads(Path(args.config).read_text()), args.config))
+        layout = None
+        if args.n is not None:
+            layout = blockmesh.UnkLayout.simple(1, args.n, args.n, 1, 1).to_dict()
+        elif args.layout is not None:
+            layout = _parse_layout(args.layout).to_dict()
+        command = [c for c in args.command if c != "--"]
+        d["workload"] = ({"kind": report.EXTERNAL, "argv": command} if command else
+                         {**_object(d["workload"], "workload"),
+                          **_given(kind=args.workload, layout=layout,
+                                   passes=args.passes, alloc=args.alloc)})
+        d["cpu"] = {**_object(d.get("cpu", {}), "cpu"),
+                    **_given(freq_hz=args.freq_hz, line_bytes=args.line_bytes)}
+        d.update(_given(
+            baseline=args.mode_a, treatment=args.mode_b,
+            repetitions=args.repetitions, label=args.label,
+            events=None if args.events is None else args.events.split(","),
+            backend="simulated" if args.simulate_counters else None))
+        return report.ExperimentConfig.from_dict(d)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"bad configuration: {args.config}: {exc}") from None
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"bad configuration: {exc}") from None
 
 
 def _cmd_run(args) -> int:
-    try:
-        config = _build_run_config(args)
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"bad configuration: {exc}", file=sys.stderr)
-        return EXIT_CAPABILITY
-    try:
-        rep = report.run_experiment(config, out_dir=args.out)
-    except report.WorkloadFailed as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if exc.partial is not None:
-            print(report.render_table(exc.partial), end="")
-        return EXIT_WORKLOAD
-    except report.CounterUnavailable as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        print("hint: pass --simulate-counters for a hardware-free run",
-              file=sys.stderr)
-        return EXIT_CAPABILITY
+    rep = report.run_experiment(_build_run_config(args), out_dir=args.out)
     print(report.render_table(rep), end="")
     for warning in rep.warnings:
         print(f"warning: {warning}", file=sys.stderr)
@@ -162,34 +159,23 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _input_error(exc: Exception) -> int:
-    print(f"error: {exc}", file=sys.stderr)
-    return EXIT_CAPABILITY
-
-
 def _cmd_tlbsim(args) -> int:
-    try:
-        trace = blockmesh.load_trace(args.trace)
-        sizes = sorted(tlbsim.parse_size(tok) for tok in args.sizes.split(","))
-        config = tlbsim.TlbConfig(entries=args.entries, associativity=args.assoc,
-                                  page_size_bytes=sizes[0])
-        csv = tlbsim.sweep_csv(tlbsim.page_size_sweep(trace, config, sizes))
-        if args.out:
-            Path(args.out).write_text(csv)
-    except (OSError, ValueError, KeyError) as exc:
-        return _input_error(exc)
-    if not args.out:
+    trace = blockmesh.load_trace(args.trace)
+    sizes = sorted(tlbsim.parse_size(tok) for tok in args.sizes.split(","))
+    config = tlbsim.TlbConfig(entries=args.entries, associativity=args.assoc,
+                              page_size_bytes=sizes[0])
+    csv = tlbsim.sweep_csv(tlbsim.page_size_sweep(trace, config, sizes))
+    if args.out:
+        Path(args.out).write_text(csv)
+    else:
         print(csv, end="")
     return EXIT_OK
 
 
 def _cmd_trace(args) -> int:
-    try:
-        trace = blockmesh.gen_trace(_parse_layout(args.layout),
-                                    _PATTERN_TOKENS[args.pattern], passes=args.passes)
-        blockmesh.save_trace(trace, args.out)
-    except (OSError, ValueError) as exc:
-        return _input_error(exc)
+    trace = blockmesh.gen_trace(_parse_layout(args.layout),
+                                _PATTERN_TOKENS[args.pattern], passes=args.passes)
+    blockmesh.save_trace(trace, args.out)
     print(f"{trace.accesses} accesses -> {args.out} "
           f"(+ sidecar {blockmesh.sidecar_path(args.out).name})")
     return EXIT_OK
@@ -224,21 +210,14 @@ def _cmd_render(args) -> int:
 def _cmd_thp(args) -> int:
     fs = RealFs()
     if args.set_mode:
-        try:
-            write_thp(fs, ThpMode(args.set_mode),
-                      allow_system_writes=args.allow_system_writes)
-        except Exception as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_CAPABILITY
-    try:
-        print(parse_thp(fs.read_text(THP_ENABLED_PATH)).value)
-    except (OSError, ValueError) as exc:
-        print(f"error: THP state unavailable: {exc}", file=sys.stderr)
-        return EXIT_CAPABILITY
+        write_thp(fs, ThpMode(args.set_mode),
+                  allow_system_writes=args.allow_system_writes)
+    print(parse_thp(fs.read_text(THP_ENABLED_PATH)).value)
     return EXIT_OK
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; the only place an error becomes an exit code."""
     args = build_parser().parse_args(argv)
     handler = {
         "run": _cmd_run,
@@ -248,7 +227,21 @@ def main(argv: list[str] | None = None) -> int:
         "render": _cmd_render,
         "thp": _cmd_thp,
     }[args.cmd]
-    return handler(args)
+    try:
+        return handler(args)
+    except report.WorkloadFailed as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        if exc.partial is not None:
+            print(report.render_table(exc.partial), end="")
+        return EXIT_WORKLOAD
+    except report.CounterUnavailable as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        print("hint: pass --simulate-counters for a hardware-free run",
+              file=sys.stderr)
+        return EXIT_CAPABILITY
+    except (SystemWriteNotAllowed, OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CAPABILITY
 
 
 if __name__ == "__main__":

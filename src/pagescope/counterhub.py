@@ -14,7 +14,6 @@ import enum
 import os
 import platform
 import struct
-import time
 from dataclasses import dataclass, field
 
 
@@ -92,10 +91,9 @@ def parse_event_names(spec: str) -> frozenset[EventId]:
 
 @dataclass(frozen=True)
 class CounterSample:
-    """Cumulative counter values at one instant (monotonic ns timestamp)."""
+    """Cumulative counter values at one instant."""
 
     values: dict[EventId, int]
-    timestamp_ns: int
 
 
 @dataclass
@@ -130,18 +128,19 @@ def aggregate(records: list[RegionRecord]) -> dict[str, RegionRecord]:
 # Backends
 # ---------------------------------------------------------------------------
 
+SIM_TICK_NS = 1_000_000
+
+
 class SimulatedBackend:
     """Deterministic backend: read N yields exactly N * increment per event.
 
-    Events without a configured increment read 0. The timestamp advances by
-    a fixed tick per read so downstream consumers see a monotonic clock that
+    Events without a configured increment read 0. The clock advances by
+    SIM_TICK_NS per read so downstream consumers see a monotonic clock that
     is reproducible across runs.
     """
 
-    def __init__(self, increments: dict[EventId, int] | None = None,
-                 tick_ns: int = 1_000_000):
+    def __init__(self, increments: dict[EventId, int] | None = None):
         self.increments = dict(increments or {})
-        self.tick_ns = tick_ns
         self._reads = 0
 
     def open(self, events: frozenset[EventId]) -> None:
@@ -150,10 +149,10 @@ class SimulatedBackend:
     def read(self, events: frozenset[EventId]) -> CounterSample:
         self._reads += 1
         values = {ev: self._reads * self.increments.get(ev, 0) for ev in events}
-        return CounterSample(values, self._reads * self.tick_ns)
+        return CounterSample(values)
 
     def now_ns(self) -> int:
-        return self._reads * self.tick_ns
+        return self._reads * SIM_TICK_NS
 
     def close(self) -> None:
         pass
@@ -288,10 +287,7 @@ class RealOsBackend:
         for ev in events:
             raw = os.read(self._fds[ev], 8)
             values[ev] = struct.unpack("<Q", raw)[0]
-        return CounterSample(values, time.monotonic_ns())
-
-    def now_ns(self) -> int:
-        return time.monotonic_ns()
+        return CounterSample(values)
 
     def close(self) -> None:
         for fd in self._fds.values():
@@ -352,7 +348,7 @@ def open_session(backend, events: frozenset[EventId] | set[EventId]) -> CounterS
     # Counters are cumulative from open, so the baseline is the zero sample;
     # taking it without a backend read keeps the simulated backend's
     # N-reads = N*increment contract intact.
-    session._last = CounterSample({ev: 0 for ev in events}, backend.now_ns())
+    session._last = CounterSample({ev: 0 for ev in events})
     return session
 
 
@@ -365,23 +361,20 @@ class _OpenRegion:
 class RegionCollector:
     """begin/end bracketing with inclusive attribution into named records.
 
-    Empty region names are accepted (a long run should not abort on a
-    degenerate label) but are flagged so reports can call them out.
+    Empty region names are accepted: a long run should not abort on a
+    degenerate label, and tables print it as "(unnamed region)".
     """
 
     def __init__(self, session: CounterSession):
         self.session = session
         self._stack: list[_OpenRegion] = []
         self._records: dict[str, RegionRecord] = {}
-        self.flagged_empty_names = False
 
     @property
     def depth(self) -> int:
         return len(self._stack)
 
     def region_begin(self, name: str) -> _OpenRegion:
-        if name == "":
-            self.flagged_empty_names = True
         region = _OpenRegion(name, self.session.read())
         self._stack.append(region)
         return region

@@ -236,7 +236,6 @@ class HugePageMode(enum.Enum):
 class LaunchPlan:
     env: dict[str, str] = field(default_factory=dict)
     wrapper_argv: tuple[str, ...] = ()
-    notes: tuple[str, ...] = ()
 
     def command(self, argv: list[str]) -> list[str]:
         return list(self.wrapper_argv) + list(argv)
@@ -247,35 +246,22 @@ class LaunchPlan:
         return merged
 
 
-def plan_launch(mode: HugePageMode, print_env: bool = False) -> LaunchPlan:
-    """Env/wrapper recipe for running a workload under one huge-page mode."""
+def plan_launch(mode: HugePageMode) -> LaunchPlan:
+    """Env/wrapper recipe for running a workload under one huge-page mode:
+    hugectl (THP), a libhugetlbfs preload, or the Fujitsu runtime's env."""
     if mode is HugePageMode.Off:
-        plan = LaunchPlan(notes=("no huge-page mechanism requested",))
-    elif mode is HugePageMode.Transparent:
-        plan = LaunchPlan(
-            wrapper_argv=("hugectl", "--shm", "--thp"),
-            notes=("hugectl steers the kernel THP machinery for this process",))
-    elif mode is HugePageMode.PreloadHugetlbfs:
-        plan = LaunchPlan(
-            env={"LD_PRELOAD": "libhugetlbfs.so", "HUGETLB_MORECORE": "yes"},
-            notes=("libhugetlbfs preload backs malloc with the hugetlbfs pool",))
-    else:
-        hpage_type = {
-            HugePageMode.FujitsuHugetlbfs: "hugetlbfs",
-            HugePageMode.FujitsuThp: "thp",
-            HugePageMode.FujitsuNone: "none",
-        }[mode]
-        plan = LaunchPlan(
-            env={"XOS_MMM_L_HPAGE_TYPE": hpage_type},
-            notes=("Fujitsu runtime selects the page type from "
-                   "XOS_MMM_L_HPAGE_TYPE",))
-    if print_env and mode in (HugePageMode.FujitsuHugetlbfs,
-                              HugePageMode.FujitsuThp, HugePageMode.FujitsuNone):
-        env = dict(plan.env)
-        env["XOS_MMM_L_PRINT_ENV"] = "on"
-        plan = LaunchPlan(env=env, wrapper_argv=plan.wrapper_argv,
-                          notes=plan.notes)
-    return plan
+        return LaunchPlan()
+    if mode is HugePageMode.Transparent:
+        return LaunchPlan(wrapper_argv=("hugectl", "--shm", "--thp"))
+    if mode is HugePageMode.PreloadHugetlbfs:
+        return LaunchPlan(env={"LD_PRELOAD": "libhugetlbfs.so",
+                               "HUGETLB_MORECORE": "yes"})
+    hpage_type = {
+        HugePageMode.FujitsuHugetlbfs: "hugetlbfs",
+        HugePageMode.FujitsuThp: "thp",
+        HugePageMode.FujitsuNone: "none",
+    }[mode]
+    return LaunchPlan(env={"XOS_MMM_L_HPAGE_TYPE": hpage_type})
 
 
 # ---------------------------------------------------------------------------

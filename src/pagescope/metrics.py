@@ -124,8 +124,16 @@ def _row(label: str, with_v: float | None, without_v: float | None) -> RatioRow:
     return RatioRow(label, with_v, without_v, with_v / without_v)
 
 
-def _gbps(bytes_per_s: float | None) -> float | None:
-    return None if bytes_per_s is None else bytes_per_s / 1e9
+def metrics_cells(m: DerivedMetrics) -> dict[str, float | None]:
+    """Table cells for one column, keyed by row label, in display units."""
+    return {
+        LABEL_CYCLES: m.hw_cycles,
+        LABEL_SECONDS: m.seconds,
+        LABEL_SVE: m.sve_per_cycle,
+        LABEL_BANDWIDTH: (None if m.bandwidth_bytes_per_s is None
+                          else m.bandwidth_bytes_per_s / 1e9),
+        LABEL_DTLB: m.dtlb_misses_per_s,
+    }
 
 
 def ratios(with_hp: DerivedMetrics, without_hp: DerivedMetrics,
@@ -136,28 +144,12 @@ def ratios(with_hp: DerivedMetrics, without_hp: DerivedMetrics,
     distinct from the region-scoped Time (s) row: the instrumented region
     usually covers only part of the run.
     """
-    rows = [
-        _row(LABEL_CYCLES, with_hp.hw_cycles, without_hp.hw_cycles),
-        _row(LABEL_SECONDS, with_hp.seconds, without_hp.seconds),
-        _row(LABEL_SVE, with_hp.sve_per_cycle, without_hp.sve_per_cycle),
-        _row(LABEL_BANDWIDTH, _gbps(with_hp.bandwidth_bytes_per_s),
-             _gbps(without_hp.bandwidth_bytes_per_s)),
-        _row(LABEL_DTLB, with_hp.dtlb_misses_per_s, without_hp.dtlb_misses_per_s),
-    ]
+    with_cells, without_cells = metrics_cells(with_hp), metrics_cells(without_hp)
+    rows = [_row(label, with_cells[label], without_cells[label])
+            for label in with_cells]
     if timers is not None:
         rows.append(_row(LABEL_TIMER, timers[0], timers[1]))
     return rows
-
-
-def metrics_cells(m: DerivedMetrics) -> dict[str, float | None]:
-    """Table cells for one column, keyed by row label, in display units."""
-    return {
-        LABEL_CYCLES: m.hw_cycles,
-        LABEL_SECONDS: m.seconds,
-        LABEL_SVE: m.sve_per_cycle,
-        LABEL_BANDWIDTH: _gbps(m.bandwidth_bytes_per_s),
-        LABEL_DTLB: m.dtlb_misses_per_s,
-    }
 
 
 def sig3(x: float) -> str:

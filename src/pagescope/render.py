@@ -25,10 +25,9 @@ def _fmt_full(value) -> str:
 
 
 def metrics_table(without: dict[str, float | None], with_: dict[str, float | None],
-                  region: str, flagged: bool = False) -> str:
+                  region: str) -> str:
     """One region's Without/With table from row-label -> value mappings."""
-    name = region if region else "(unnamed region)"
-    lines = [f"Region: {name}" + ("  [empty region name]" if flagged else "")]
+    lines = [f"Region: {region or '(unnamed region)'}"]
     header = f"{'Measure':<24}{COL_WITHOUT:>14}{COL_WITH:>14}"
     lines.append(header)
     lines.append("-" * len(header))

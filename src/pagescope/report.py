@@ -18,7 +18,7 @@ import shutil
 import statistics
 import subprocess
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 from pathlib import Path
 
 from . import blockmesh, render
@@ -105,8 +105,8 @@ class WorkloadSpec:
                 raise ValueError(f"workload {self.kind!r} needs a layout")
         else:
             raise ValueError(f"unknown workload kind {self.kind!r}")
-        if self.passes < 1:
-            raise ValueError("passes must be >= 1")
+        if not isinstance(self.passes, int) or self.passes < 1:
+            raise ValueError("passes must be an integer >= 1")
 
     @property
     def region_name(self) -> str:
@@ -148,12 +148,16 @@ class ExperimentConfig:
     label: str = "experiment"
 
     def __post_init__(self):
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
+        if not isinstance(self.repetitions, int) or self.repetitions < 1:
+            raise ValueError("repetitions must be an integer >= 1")
         if self.baseline == self.treatment:
             raise ValueError("baseline and treatment modes must differ")
         if self.backend not in ("simulated", "real"):
             raise ValueError(f"unknown backend {self.backend!r}")
+        if not self.monitor_cadence_s > 0:
+            raise ValueError("monitor_cadence_s must be > 0")
+        if not isinstance(self.label, str):
+            raise ValueError("label must be a string")
         if self.simulated_increments:
             roles = {role for role, _ in self.simulated_increments}
             if not {"baseline", "treatment"} <= roles:
@@ -190,23 +194,30 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        events = (parse_event_names(",".join(d["events"]))
-                  if d.get("events") else ALL_EVENTS)
-        incs = {
-            role: {NAME_TO_EVENT[name]: int(v) for name, v in table.items()}
-            for role, table in d.get("simulated_increments", {}).items()}
-        return cls(
-            workload=WorkloadSpec.from_dict(d["workload"]),
-            baseline=HugePageMode(d.get("baseline", "off")),
-            treatment=HugePageMode(d.get("treatment", "thp")),
-            events=events,
-            cpu=CpuSpec.from_mapping(d.get("cpu", {}), strict=d.get("strict", False)),
-            repetitions=d.get("repetitions", 1),
-            monitor_cadence_s=d.get("monitor_cadence_s", 1.0),
-            backend=d.get("backend", "simulated"),
-            simulated_increments=cls.pack_increments(incs),
-            label=d.get("label", "experiment"),
-        )
+        """Inverse of to_dict; ValueError when d does not have its shape."""
+        try:
+            events = (parse_event_names(",".join(d["events"]))
+                      if d.get("events") else ALL_EVENTS)
+            incs = {
+                role: {NAME_TO_EVENT[name]: int(v) for name, v in table.items()}
+                for role, table in d.get("simulated_increments", {}).items()}
+            return cls(
+                workload=WorkloadSpec.from_dict(d["workload"]),
+                baseline=HugePageMode(d.get("baseline", "off")),
+                treatment=HugePageMode(d.get("treatment", "thp")),
+                events=events,
+                cpu=CpuSpec.from_mapping(d.get("cpu", {}),
+                                         strict=d.get("strict", False)),
+                repetitions=d.get("repetitions", 1),
+                monitor_cadence_s=d.get("monitor_cadence_s", 1.0),
+                backend=d.get("backend", "simulated"),
+                simulated_increments=cls.pack_increments(incs),
+                label=d.get("label", "experiment"),
+            )
+        except KeyError as exc:
+            raise ValueError(f"missing or unknown key {exc}") from None
+        except (AttributeError, TypeError) as exc:
+            raise ValueError(f"wrong shape: {exc}") from None
 
     def config_hash(self) -> str:
         canon = json.dumps(self.to_dict(), sort_keys=True).encode()
@@ -234,17 +245,12 @@ class ComparisonReport:
 
 
 def _median_metrics(per_rep: list[DerivedMetrics]) -> DerivedMetrics:
+    """Each measure's median over the repetitions that have it."""
     def med(values):
         present = [v for v in values if v is not None]
         return statistics.median(present) if present else None
 
-    return DerivedMetrics(
-        hw_cycles=med([m.hw_cycles for m in per_rep]),
-        seconds=med([m.seconds for m in per_rep]),
-        sve_per_cycle=med([m.sve_per_cycle for m in per_rep]),
-        bandwidth_bytes_per_s=med([m.bandwidth_bytes_per_s for m in per_rep]),
-        dtlb_misses_per_s=med([m.dtlb_misses_per_s for m in per_rep]),
-    )
+    return DerivedMetrics(*(med(values) for values in zip(*map(astuple, per_rep))))
 
 
 def _make_backend(config: ExperimentConfig, role: str):
@@ -456,9 +462,7 @@ def report_to_dict(report: ComparisonReport) -> dict:
         "provenance": report.provenance,
         "runs": {role: _run_to_dict(run) for role, run in report.runs.items()},
         "ratios": {
-            region: [{"measure": row.measure, "with_hp": row.with_hp,
-                      "without_hp": row.without_hp, "ratio": row.ratio}
-                     for row in rows]
+            region: [asdict(row) for row in rows]
             for region, rows in report.ratio_rows.items()},
         "warnings": report.warnings,
     }
@@ -478,7 +482,33 @@ def save_report(report: ComparisonReport, out_dir: str | Path) -> Path:
 
 
 def load_report(path: str | Path) -> dict:
-    return json.loads(Path(path).read_text())
+    """Read a saved report; ValueError naming the file unless it holds what
+    the renderers read (label, elapsed times, metrics, ratio rows) as typed."""
+    try:
+        d = json.loads(Path(path).read_text())
+        _need(isinstance(d.get("label", ""), str), "label is not a string")
+        for run in d.get("runs", {}).values():
+            _need_numbers([run.get("elapsed_s")])
+            for info in run.get("regions", {}).values():
+                if info.get("metrics"):
+                    _need_numbers(asdict(DerivedMetrics(**info["metrics"])).values())
+        for rows in d.get("ratios", {}).values():
+            for row in (RatioRow(**r) for r in rows):
+                _need(isinstance(row.measure, str), "a ratio measure is not a string")
+                _need_numbers([row.with_hp, row.without_hp, row.ratio])
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: not a pagescope report: {exc}") from None
+    return d
+
+
+def _need(ok: bool, what: str) -> None:
+    if not ok:
+        raise ValueError(what)
+
+
+def _need_numbers(values) -> None:
+    _need(all(v is None or type(v) in (int, float) for v in values),
+          "a metric or ratio is not a number")
 
 
 # ---------------------------------------------------------------------------
@@ -520,13 +550,9 @@ def render_table(report: ComparisonReport | dict) -> str:
 
 def render_csv(report: ComparisonReport | dict) -> str:
     """Full-precision machine-readable rows mirroring the table."""
-    d = _as_dict(report)
-    rows_by_region = {}
-    for region, rows in d.get("ratios", {}).items():
-        rows_by_region[region] = [
-            RatioRow(r["measure"], r["with_hp"], r["without_hp"], r["ratio"])
-            for r in rows]
-    return render.ratio_rows_csv(rows_by_region)
+    return render.ratio_rows_csv({
+        region: [RatioRow(**r) for r in rows]
+        for region, rows in _as_dict(report).get("ratios", {}).items()})
 
 
 def render_ratio_chart(reports: list[ComparisonReport | dict],

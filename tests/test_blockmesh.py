@@ -9,6 +9,7 @@ from pagescope.blockmesh import (
     IndexOutOfBounds,
     TraversalPattern,
     UnkLayout,
+    _single_pass_elements,
     address_of,
     gen_trace,
     load_trace,
@@ -210,5 +211,7 @@ def test_load_raw_stream_without_sidecar(tmp_path):
 
 
 def test_element_indices():
-    trace = gen_trace(SMALL, TraversalPattern.BlockSweep)
-    assert trace.element_indices().tolist() == [0, 128, 256]
+    elements = _single_pass_elements(SMALL, TraversalPattern.BlockSweep)
+    assert elements.tolist() == [0, 128, 256]
+    offsets = gen_trace(SMALL, TraversalPattern.BlockSweep).offsets
+    assert offsets.tolist() == (elements * SMALL.elem_bytes).tolist()

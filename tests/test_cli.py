@@ -135,18 +135,40 @@ def test_events_flag_limits_event_set(tmp_path, capsys):
     assert set(totals) == {"PERF_COUNT_HW_CPU_CYCLES", "DTLB-LOAD-MISSES"}
 
 
+def _config_file(content):
+    """Flags naming a config file that holds `content` as JSON."""
+    def make_flags(tmp_path):
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(content))
+        return ["--config", str(path)]
+    return make_flags
+
+
 @pytest.mark.parametrize("flags", [
     ["--n", "0"],
     ["--passes", "0"],
     ["--repetitions", "0"],
     ["--layout", "5,16"],
     ["--config", "no-such-config.json"],
-], ids=["n-0", "passes-0", "repetitions-0", "short-layout", "missing-config"])
+    _config_file([]),
+    _config_file({"workload": []}),
+    _config_file({"workload": {"kind": "sum2d", "layout": {"nvar": 1}}}),
+    _config_file({"simulated_increments": {"baseline": []}}),
+    _config_file({"monitor_cadence_s": -1}),
+    _config_file({"label": 7}),
+], ids=["n-0", "passes-0", "repetitions-0", "short-layout", "missing-config",
+        "config-not-object", "config-workload-not-object",
+        "config-layout-incomplete", "config-increments-not-object",
+        "config-cadence-negative", "config-label-not-string"])
 def test_bad_run_flags_are_bad_configuration(tmp_path, capsys, flags):
+    if callable(flags):
+        flags = flags(tmp_path)
     rc = main(["run", "--simulate-counters", "--workload", "sum2d",
                "--out", str(tmp_path)] + flags)
     assert rc == 3
-    assert "bad configuration" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: bad configuration") and err.count("\n") == 1
     assert not list(tmp_path.glob("report-*.json"))
 
 
@@ -181,13 +203,29 @@ def _ragged_trace(tmp_path):
     return ["tlbsim", "--trace", str(path)]
 
 
-def _sidecar_disagrees(tmp_path):
+def _trace_with_sidecar(tmp_path, edit):
     path = tmp_path / "t.trace"
     main(["trace", "--layout", "2,4,4,2,2", "--out", str(path)])
     side = Path(str(path) + ".json")
-    meta = json.loads(side.read_text())
-    side.write_text(json.dumps({**meta, "accesses": meta["accesses"] + 1}))
+    side.write_text(json.dumps(edit(json.loads(side.read_text()))))
     return ["tlbsim", "--trace", str(path)]
+
+
+def _sidecar_disagrees(tmp_path):
+    return _trace_with_sidecar(
+        tmp_path, lambda meta: {**meta, "accesses": meta["accesses"] + 1})
+
+
+def _sidecar_not_object(tmp_path):
+    return _trace_with_sidecar(tmp_path, lambda meta: [])
+
+
+def _sidecar_layout_incomplete(tmp_path):
+    return _trace_with_sidecar(tmp_path, lambda meta: {**meta, "layout": {"nvar": 1}})
+
+
+def _sidecar_zero_elem_bytes(tmp_path):
+    return _trace_with_sidecar(tmp_path, lambda meta: {**meta, "elem_bytes": 0})
 
 
 def _malformed_layout(tmp_path):
@@ -199,12 +237,55 @@ def _invalid_layout(tmp_path):
 
 
 @pytest.mark.parametrize("make_argv", [_missing_trace, _ragged_trace,
-                                       _sidecar_disagrees, _malformed_layout,
+                                       _sidecar_disagrees, _sidecar_not_object,
+                                       _sidecar_layout_incomplete,
+                                       _sidecar_zero_elem_bytes, _malformed_layout,
                                        _invalid_layout])
 def test_bad_trace_input_is_one_line_error(tmp_path, capsys, make_argv):
     argv = make_argv(tmp_path)
     capsys.readouterr()
     assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _saved_report(tmp_path) -> Path:
+    main(_sim_run_args(tmp_path))
+    return next(tmp_path.glob("report-*.json"))
+
+
+def _missing_report(tmp_path):
+    return tmp_path / "missing.json"
+
+
+def _truncated_report(tmp_path):
+    path = _saved_report(tmp_path)
+    path.write_text(path.read_text()[:200])
+    return path
+
+
+def _report_not_object(tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text("[]")
+    return path
+
+
+def _report_metrics_unknown_key(tmp_path):
+    path = _saved_report(tmp_path)
+    data = json.loads(path.read_text())
+    data["runs"]["baseline"]["regions"]["zone-sweep"]["metrics"]["bogus"] = 1.0
+    path.write_text(json.dumps(data))
+    return path
+
+
+@pytest.mark.parametrize("make_report", [_missing_report, _truncated_report,
+                                         _report_not_object,
+                                         _report_metrics_unknown_key])
+def test_bad_report_is_one_line_error(tmp_path, capsys, make_report):
+    path = make_report(tmp_path)
+    capsys.readouterr()
+    assert main(["render", "--report", str(path)]) == 3
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1

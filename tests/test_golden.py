@@ -1,14 +1,21 @@
-"""Byte-identity of simulated reports against checked-in golden files.
+"""Byte-identity of simulated reports and of the trace path against
+checked-in golden files.
 
 Criterion 09 compares repeats within one checkout; this pins the JSON,
-table and CSV output of the same experiment across commits. The golden
-files under tests/data/ were written by `write_golden()` and must only be
-regenerated when a change to the report format is intended.
+table and CSV output of the same experiment across commits, and the bytes
+`pagescope trace` writes (trace file and sidecar) and `pagescope tlbsim`
+prints for a block and a zone layout. The golden files under tests/data/
+were written by `write_golden()` and must only be regenerated when a change
+to the report or trace format is intended.
 """
 
+import hashlib
+import json
+import tempfile
 from pathlib import Path
 
 from pagescope.blockmesh import UnkLayout
+from pagescope.cli import main
 from pagescope.counterhub import EventId
 from pagescope.hugepagectl import MEMINFO_PATH, FixtureFs
 from pagescope.report import ExperimentConfig, WorkloadSpec, render_csv, \
@@ -20,6 +27,12 @@ DATA = Path(__file__).parent / "data"
 GOLDEN = {"json": DATA / "determinism-report.json",
           "table": DATA / "determinism-report.table.txt",
           "csv": DATA / "determinism-report.csv"}
+TRACE_GOLDEN = DATA / "trace-path.json"
+# name -> `pagescope trace` flags; each trace is replayed at 4K, 2M, 512M.
+TRACE_CASES = {
+    "block": ["--layout", "5,16,16,16,40", "--pattern", "block", "--passes", "2"],
+    "zone": ["--layout", "5,16,16,16,4", "--pattern", "zone"],
+}
 
 
 def determinism_outputs() -> dict[str, str]:
@@ -52,12 +65,35 @@ def determinism_outputs() -> dict[str, str]:
             "csv": render_csv(d)}
 
 
+def trace_outputs(work_dir: Path) -> dict[str, dict[str, str]]:
+    """Per case: the sidecar text, the trace bytes' sha256 and the CSV."""
+    out = {}
+    for name, flags in TRACE_CASES.items():
+        path = work_dir / f"{name}.trace"
+        csv = work_dir / f"{name}.csv"
+        assert main(["trace", *flags, "--out", str(path)]) == 0
+        assert main(["tlbsim", "--trace", str(path), "--sizes", "4K,2M,512M",
+                     "--out", str(csv)]) == 0
+        out[name] = {
+            "sidecar": Path(str(path) + ".json").read_text(),
+            "trace_sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
+            "tlbsim_csv": csv.read_text()}
+    return out
+
+
 def write_golden() -> None:
     DATA.mkdir(exist_ok=True)
     for kind, text in determinism_outputs().items():
         GOLDEN[kind].write_text(text)
+    with tempfile.TemporaryDirectory() as tmp:
+        outputs = trace_outputs(Path(tmp))
+    TRACE_GOLDEN.write_text(json.dumps(outputs, indent=2, sort_keys=True) + "\n")
 
 
 def test_report_outputs_match_golden_files():
     for kind, text in determinism_outputs().items():
         assert text == GOLDEN[kind].read_text(), kind
+
+
+def test_trace_path_outputs_match_golden_file(tmp_path):
+    assert trace_outputs(tmp_path) == json.loads(TRACE_GOLDEN.read_text())

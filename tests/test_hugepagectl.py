@@ -143,11 +143,6 @@ def test_plan_off_is_empty():
     assert plan.env == {} and plan.wrapper_argv == ()
 
 
-def test_plan_print_env_passthrough():
-    plan = plan_launch(HugePageMode.FujitsuThp, print_env=True)
-    assert plan.env["XOS_MMM_L_PRINT_ENV"] == "on"
-
-
 def test_plans_injective():
     plans = [(plan_launch(m).wrapper_argv, tuple(sorted(plan_launch(m).env.items())))
              for m in HugePageMode]
