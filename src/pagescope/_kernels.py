@@ -1,9 +1,11 @@
 """Hot inner loops: LRU TLB replay and trace-order array sums.
 
-Each kernel has a numba-compiled variant and a pure numpy/Python fallback
-that gives identical results. The compiled variant is used exactly when
-numba can be imported (`pip install -e '.[jit]'`); NUMBA_ENABLED says
-which one the stable names below are bound to.
+The LRU replay is interpreted Python: tlbsim hands it only the first
+access of each same-page run, a few thousand on the benchmark traces. The
+two sums each have a numba-compiled variant and a pure numpy fallback that
+gives identical results; the compiled variant is used exactly when numba
+can be imported (`pip install -e '.[jit]'`), and NUMBA_ENABLED says which
+one the stable sum names below are bound to.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ except ImportError:
 # LRU TLB replay
 # ---------------------------------------------------------------------------
 
-def lru_misses_numpy(pages: np.ndarray, sets: int, ways: int) -> int:
-    """Set-associative LRU replay, interpreted path.
+def lru_misses(pages: np.ndarray, sets: int, ways: int) -> int:
+    """Set-associative LRU replay.
 
     One OrderedDict per set; move-to-end on hit, popitem(last=False) evicts
     the least recently used tag.
@@ -42,39 +44,6 @@ def lru_misses_numpy(pages: np.ndarray, sets: int, ways: int) -> int:
                 entry.popitem(last=False)
             entry[page] = None
     return misses
-
-
-def _lru_misses_jit_impl(pages, sets, ways):
-    tags = np.full((sets, ways), -1, dtype=np.int64)
-    stamps = np.zeros((sets, ways), dtype=np.int64)
-    clock = np.int64(0)
-    misses = np.int64(0)
-    for n in range(pages.shape[0]):
-        page = pages[n]
-        s = page % sets
-        clock += 1
-        hit = False
-        victim = 0
-        oldest = stamps[s, 0]
-        for w in range(ways):
-            if tags[s, w] == page:
-                stamps[s, w] = clock
-                hit = True
-                break
-            if stamps[s, w] < oldest:
-                oldest = stamps[s, w]
-                victim = w
-        if not hit:
-            misses += 1
-            tags[s, victim] = page
-            stamps[s, victim] = clock
-    return misses
-
-
-if NUMBA_ENABLED:
-    lru_misses_numba = njit(cache=True)(_lru_misses_jit_impl)
-else:
-    lru_misses_numba = None
 
 
 # ---------------------------------------------------------------------------
@@ -115,10 +84,8 @@ else:
 
 
 if NUMBA_ENABLED:
-    lru_misses = lru_misses_numba
     sum_trace = sum_trace_numba
     fill_sum_trace = fill_sum_trace_numba
 else:
-    lru_misses = lru_misses_numpy
     sum_trace = sum_trace_numpy
     fill_sum_trace = fill_sum_trace_numpy

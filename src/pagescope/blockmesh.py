@@ -246,7 +246,8 @@ def load_trace(path: str | Path) -> AddressTrace:
     if len(data) % 8:
         raise ValueError(f"{path}: {len(data)} bytes is not a whole number "
                          f"of 8-byte offsets")
-    offsets = np.frombuffer(data, dtype="<u8").astype(np.uint64)
+    # A read-only view of the file bytes: nothing writes a trace's offsets.
+    offsets = np.frombuffer(data, dtype="<u8")
     side = sidecar_path(path)
     if not side.exists():
         # Raw stream without a sidecar: offsets only, double-width elements.

@@ -18,7 +18,7 @@ import shutil
 import statistics
 import subprocess
 import time
-from dataclasses import asdict, astuple, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 from pathlib import Path
 
 from . import blockmesh, render
@@ -74,6 +74,15 @@ WORKLOAD_PATTERNS = {
 
 EXTERNAL = "external"
 
+
+def _reject_unknown_keys(d: dict, allowed, where: str) -> None:
+    """ValueError naming the keys of `d` not in `allowed`: a misspelled
+    config key would otherwise silently run the default."""
+    unknown = set(d) - set(allowed)
+    if unknown:
+        raise ValueError(f"unknown {where} keys: {', '.join(sorted(unknown))}")
+
+
 # Neutral per-read increments used when a simulated config does not supply
 # its own: both roles get the same values, so every ratio is exactly 1 and
 # nobody mistakes defaults for a measured effect.
@@ -124,6 +133,7 @@ class WorkloadSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "WorkloadSpec":
+        _reject_unknown_keys(d, [f.name for f in fields(cls)], "workload")
         layout = d.get("layout")
         return cls(kind=d["kind"],
                    layout=blockmesh.UnkLayout.from_dict(layout) if layout else None,
@@ -196,6 +206,9 @@ class ExperimentConfig:
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         """Inverse of to_dict; ValueError when d does not have its shape."""
         try:
+            _reject_unknown_keys(d, [f.name for f in fields(cls)] + ["strict"],
+                                 "top-level")
+            _reject_unknown_keys(d.get("cpu", {}), ["freq_hz", "line_bytes"], "cpu")
             events = (parse_event_names(",".join(d["events"]))
                       if d.get("events") else ALL_EVENTS)
             incs = {

@@ -6,6 +6,21 @@ fully-associative case, deciding each access by rescanning the trace for
 the distinct pages touched since the previous access to the same page.
 The two must agree exactly, which is what the acceptance suite checks
 across randomized traces.
+
+simulate() replays far fewer accesses than the trace holds, by two
+shortcuts that give exactly the full replay's result:
+
+- Run-length collapse. An access to the same page as the access just
+  before it finds that page most recently used in its set, so it hits and
+  leaves the set unchanged. Only the first access of each run of equal
+  page ids is replayed.
+- Periodic fold. A trace that says it is `passes` repeats of one pass, and
+  whose data is checked to be exactly that, is replayed for one and for
+  two passes only. LRU starts empty, so at the end of the first pass each
+  set holds the last `ways` distinct pages a pass touches in it (all of
+  them, if fewer), ordered by last touch, and a pass that starts from that
+  state ends in it again. Every pass after the first therefore misses
+  m2 - m1 times, where m1 and m2 are the misses of one and two passes.
 """
 
 from __future__ import annotations
@@ -66,17 +81,47 @@ def _offsets(trace) -> np.ndarray:
 
 
 def _page_ids(trace, page_size_bytes: int) -> np.ndarray:
-    return (_offsets(trace) // np.uint64(page_size_bytes)).astype(np.int64)
+    # Page sizes are powers of two >= 4 KiB, so the ids fit in 52 bits and
+    # the int64 view of the shifted offsets is exact.
+    shift = np.uint64(page_size_bytes.bit_length() - 1)
+    return (_offsets(trace) >> shift).view(np.int64)
+
+
+def _runs(pages: np.ndarray) -> np.ndarray:
+    """The first access of each run of equal consecutive page ids."""
+    return pages[np.r_[True, pages[1:] != pages[:-1]]]
+
+
+def _periodic_pass(pages: np.ndarray, passes: int) -> np.ndarray | None:
+    """One pass of `pages` if it is exactly `passes` repeats of it, else None."""
+    if passes < 2 or pages.size % passes:
+        return None
+    rows = pages.reshape(passes, -1)
+    return rows[0] if (rows == rows[0]).all() else None
 
 
 def simulate(config: TlbConfig, trace) -> TlbStats:
     """Replay a trace: page id = offset / page size, LRU within each set,
-    miss on absence with eviction of the set's least recently used entry."""
+    miss on absence with eviction of the set's least recently used entry.
+
+    A trace with `passes` > 1 whose data repeats with that period is folded
+    (see the module docstring); any other trace replays in full. Either way
+    only the first access of each same-page run reaches the LRU kernel."""
     pages = _page_ids(trace, config.page_size_bytes)
     if pages.size == 0:
         return TlbStats(0, 0, 0)
-    misses = int(_kernels.lru_misses(pages, config.sets, config.ways))
-    return TlbStats(int(pages.size), misses, int(np.unique(pages).size))
+    passes = getattr(trace, "passes", 1)
+    one_pass = _periodic_pass(pages, passes)
+    if one_pass is None:
+        runs = _runs(pages)
+        misses = _kernels.lru_misses(runs, config.sets, config.ways)
+    else:
+        runs = _runs(one_pass)
+        m1 = _kernels.lru_misses(runs, config.sets, config.ways)
+        m2 = _kernels.lru_misses(_runs(pages[:2 * one_pass.size]),
+                                 config.sets, config.ways)
+        misses = m1 + (passes - 1) * (m2 - m1)
+    return TlbStats(int(pages.size), int(misses), int(np.unique(runs).size))
 
 
 def stack_distance_oracle(entries: int, trace, page_size_bytes: int) -> TlbStats:

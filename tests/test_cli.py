@@ -135,6 +135,10 @@ def test_events_flag_limits_event_set(tmp_path, capsys):
     assert set(totals) == {"PERF_COUNT_HW_CPU_CYCLES", "DTLB-LOAD-MISSES"}
 
 
+PLANE_8 = {"nvar": 1, "i_lo": 1, "i_hi": 8, "j_lo": 1, "j_hi": 8, "k_lo": 1,
+           "k_hi": 1, "maxblocks": 1, "elem_bytes": 8}
+
+
 def _config_file(content):
     """Flags naming a config file that holds `content` as JSON."""
     def make_flags(tmp_path):
@@ -156,10 +160,16 @@ def _config_file(content):
     _config_file({"simulated_increments": {"baseline": []}}),
     _config_file({"monitor_cadence_s": -1}),
     _config_file({"label": 7}),
+    _config_file({"repetition": 3, "workload": {
+        "kind": "sum2d", "layout": PLANE_8, "pases": 3}}),
+    _config_file({"workload": {"kind": "sum2d", "layout": PLANE_8, "pases": 3}}),
+    _config_file({"cpu": {"freq": 2e9}}),
 ], ids=["n-0", "passes-0", "repetitions-0", "short-layout", "missing-config",
         "config-not-object", "config-workload-not-object",
         "config-layout-incomplete", "config-increments-not-object",
-        "config-cadence-negative", "config-label-not-string"])
+        "config-cadence-negative", "config-label-not-string",
+        "config-misspelled-keys", "config-workload-unknown-key",
+        "config-cpu-unknown-key"])
 def test_bad_run_flags_are_bad_configuration(tmp_path, capsys, flags):
     if callable(flags):
         flags = flags(tmp_path)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pagescope import _kernels
-from pagescope.blockmesh import TraversalPattern, UnkLayout, gen_trace
+from pagescope.blockmesh import AddressTrace, TraversalPattern, UnkLayout, gen_trace
 from pagescope.tlbsim import (
     PAGE_2M,
     PAGE_4K,
@@ -189,11 +189,87 @@ def test_parse_size():
     assert parse_size("8192") == 8192
 
 
-def test_jit_and_numpy_paths_agree():
-    if _kernels.lru_misses_numba is None:
-        pytest.skip("numba unavailable")
-    rng = np.random.RandomState(11)
-    pages = rng.randint(0, 97, size=4000).astype(np.int64)
-    for sets, ways in ((1, 16), (4, 4), (16, 1)):
-        assert (_kernels.lru_misses_numba(pages, sets, ways)
-                == _kernels.lru_misses_numpy(pages, sets, ways))
+def _full_replay(config: TlbConfig, trace) -> TlbStats:
+    """Every access through the LRU kernel: no collapse, no fold."""
+    offsets = np.asarray(getattr(trace, "offsets", trace), dtype=np.uint64)
+    pages = (offsets // np.uint64(config.page_size_bytes)).astype(np.int64)
+    misses = _kernels.lru_misses(pages, config.sets, config.ways)
+    return TlbStats(int(pages.size), misses, int(np.unique(pages).size))
+
+
+def _tiled(one_pass: list[int], passes: int) -> AddressTrace:
+    offsets = np.tile(np.array(one_pass, dtype=np.uint64) * np.uint64(PAGE_4K),
+                      passes)
+    return AddressTrace(offsets, 8, None, None, passes)
+
+
+# A pass of a few pages, each repeated in a run and revisited later.
+single_passes = st.lists(
+    st.tuples(st.integers(0, 40), st.integers(1, 4)), min_size=1, max_size=60
+).map(lambda runs: [page for page, n in runs for _ in range(n)])
+
+
+@given(single_passes, st.integers(1, 6), st.integers(1, 8), st.integers(1, 8))
+@settings(max_examples=200, deadline=None)
+def test_shortcuts_equal_full_replay(one_pass, passes, sets, ways):
+    config = TlbConfig(entries=sets * ways, associativity=ways)
+    trace = _tiled(one_pass, passes)
+    assert simulate(config, trace) == _full_replay(config, trace)
+
+
+def _claims_two_passes_but_halves_differ():
+    offsets = np.array([0, 1, 2, 3, 0, 1, 2, 4], dtype=np.uint64) * np.uint64(PAGE_4K)
+    return AddressTrace(offsets, 8, None, None, 2)
+
+
+def _passes_do_not_divide_length():
+    offsets = np.array([5, 5, 6, 7, 5, 6, 7], dtype=np.uint64) * np.uint64(PAGE_4K)
+    return AddressTrace(offsets, 8, None, None, 2)
+
+
+def _raw_array():
+    rng = np.random.RandomState(5)
+    return rng.randint(0, 30, size=3000).repeat(3).astype(np.uint64) * np.uint64(PAGE_4K)
+
+
+@pytest.mark.parametrize("make_trace", [
+    _claims_two_passes_but_halves_differ,
+    _passes_do_not_divide_length,
+    _raw_array,
+], ids=["passes-claim-false", "passes-not-divisor", "raw-array"])
+def test_traces_without_a_verified_period_equal_full_replay(make_trace):
+    trace = make_trace()
+    for entries, assoc in ((2, None), (4, 2), (8, 1), (48, None)):
+        config = TlbConfig(entries=entries, associativity=assoc)
+        assert simulate(config, trace) == _full_replay(config, trace)
+
+
+@pytest.fixture
+def replayed(monkeypatch):
+    """Lengths of the page arrays simulate() hands to the LRU kernel."""
+    lengths = []
+    kernel = _kernels.lru_misses
+
+    def recording(pages, sets, ways):
+        lengths.append(int(pages.size))
+        return kernel(pages, sets, ways)
+
+    monkeypatch.setattr(_kernels, "lru_misses", recording)
+    return lengths
+
+
+def test_periodic_block_trace_replays_at_most_three_passes(replayed):
+    blocks = 1000
+    trace = gen_trace(UnkLayout.simple(5, 16, 16, 16, blocks),
+                      TraversalPattern.BlockSweep, passes=2000)
+    stats = simulate(TlbConfig(entries=48, associativity=4), trace)
+    assert stats.accesses == stats.misses == 2_000_000  # every run misses
+    assert 0 < sum(replayed) <= 3 * blocks
+
+
+def test_zone_trace_replays_one_access_per_page_run(replayed):
+    trace = gen_trace(UnkLayout.simple(5, 16, 16, 16, 100),
+                      TraversalPattern.ZoneSweep)
+    stats = simulate(TlbConfig(page_size_bytes=PAGE_4K), trace)
+    assert replayed == [4000]
+    assert stats == TlbStats(trace.accesses, 4000, 4000)
