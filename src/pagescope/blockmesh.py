@@ -219,7 +219,9 @@ def sidecar_path(path: str | Path) -> Path:
 
 def save_trace(trace: AddressTrace, path: str | Path) -> None:
     path = Path(path)
-    path.write_bytes(trace.offsets.astype("<u8").tobytes())
+    # The array's own buffer when it already is contiguous little-endian u64:
+    # no copy of a trace that can run to tens of megabytes.
+    path.write_bytes(memoryview(np.ascontiguousarray(trace.offsets, dtype="<u8")))
     meta = {
         "layout": trace.layout.to_dict() if trace.layout else None,
         "pattern": trace.pattern.value if trace.pattern else None,

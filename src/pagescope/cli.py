@@ -152,7 +152,7 @@ def _build_run_config(args) -> report.ExperimentConfig:
 def _cmd_run(args) -> int:
     rep = report.run_experiment(_build_run_config(args), out_dir=args.out)
     print(report.render_table(rep), end="")
-    for warning in rep.warnings:
+    for warning in rep["warnings"]:
         print(f"warning: {warning}", file=sys.stderr)
     if args.out:
         print(f"report written under {args.out}", file=sys.stderr)

@@ -341,16 +341,28 @@ class MeminfoMonitor:
         self._queue: queue.Queue[MeminfoSnapshot] = queue.Queue()
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
+        self.samples = 0  # reads attempted through sample()
+        self.dropped = 0  # of those, reads that failed
 
     def poll_once(self, captured_at: int | None = None) -> MeminfoSnapshot:
         return parse_meminfo(self.fs.read_text(self.path), captured_at)
 
+    def sample(self) -> MeminfoSnapshot | None:
+        """One poll, or None when meminfo cannot be read or parsed; a
+        failed read is counted in `dropped` instead of raising, so one bad
+        read neither kills the polling thread nor goes unreported."""
+        self.samples += 1
+        try:
+            return self.poll_once()
+        except (OSError, ValueError):
+            self.dropped += 1
+            return None
+
     def _run(self) -> None:
         while not self._stop.is_set():
-            try:
-                self._queue.put(self.poll_once())
-            except (OSError, ValueError):
-                pass  # transient read problems should not kill the monitor
+            snap = self.sample()
+            if snap is not None:
+                self._queue.put(snap)
             self._stop.wait(self.cadence_s)
 
     def start(self) -> None:

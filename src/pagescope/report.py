@@ -3,9 +3,9 @@
 An experiment runs the same workload under a baseline and a treatment
 huge-page mode, bracketing it with counter regions while a meminfo monitor
 watches for huge-page evidence, then reduces both runs to per-measure
-ratio rows. Reports serialize to one self-describing JSON per experiment,
-keyed by a hash of the canonical config, so simulated runs reproduce byte
-for byte.
+ratio rows. A report is one self-describing JSON-ready dict per experiment,
+saved under a hash of the canonical config, so simulated runs reproduce
+byte for byte.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import shutil
 import statistics
 import subprocess
 import time
-from dataclasses import asdict, astuple, dataclass, field, fields
+from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 
 from . import blockmesh, render
@@ -54,12 +54,12 @@ from .metrics import (LABEL_TIMER, MEASURE_LABELS, CpuSpec, DerivedMetrics, Rati
 
 
 class WorkloadFailed(RuntimeError):
-    def __init__(self, mode: HugePageMode, returncode: int, partial=None):
+    def __init__(self, mode: HugePageMode, returncode: int):
         super().__init__(f"workload under mode {mode.value!r} exited "
                          f"with status {returncode}")
         self.mode = mode
         self.returncode = returncode
-        self.partial = partial
+        self.partial: dict | None = None  # set by run_experiment
 
 
 class CounterUnavailable(RuntimeError):
@@ -237,26 +237,6 @@ class ExperimentConfig:
         return hashlib.sha256(canon).hexdigest()[:12]
 
 
-@dataclass
-class RunResult:
-    mode: HugePageMode
-    records: dict[str, RegionRecord]
-    region_metrics: dict[str, DerivedMetrics]
-    verdict: UsageVerdict
-    elapsed_s: float
-    checksum: float | None = None
-
-
-@dataclass
-class ComparisonReport:
-    label: str
-    config: dict
-    provenance: dict
-    runs: dict[str, RunResult]  # "baseline" / "treatment"
-    ratio_rows: dict[str, list[RatioRow]]
-    warnings: list[str] = field(default_factory=list)
-
-
 def _median_metrics(per_rep: list[DerivedMetrics]) -> DerivedMetrics:
     """Each measure's median over the repetitions that have it."""
     def med(values):
@@ -276,7 +256,28 @@ def _make_backend(config: ExperimentConfig, role: str):
     return RealOsBackend()
 
 
-def _run_one_mode(config: ExperimentConfig, role: str, fs) -> RunResult:
+def run_dict(mode: HugePageMode, record: RegionRecord, metrics: DerivedMetrics,
+             verdict: UsageVerdict, elapsed_s: float,
+             checksum: float | None = None) -> dict:
+    """One role's entry under a report's "runs": the region's summed
+    counters and median measures, the huge-page verdict and the timer."""
+    return {
+        "mode": mode.value,
+        "elapsed_s": elapsed_s,
+        "checksum": checksum,
+        "verdict": {"state": verdict.state,
+                    "evidence": [[name, delta] for name, delta in verdict.evidence],
+                    "reason": verdict.reason},
+        "regions": {record.name: {
+            "region_count": record.region_count,
+            "totals": {EVENT_NAMES[ev]: int(v) for ev, v in record.totals.items()},
+            "metrics": asdict(metrics)}},
+    }
+
+
+def _run_one_mode(config: ExperimentConfig, role: str,
+                  fs) -> tuple[dict, MeminfoMonitor]:
+    """The role's run dict, and the monitor that counted its meminfo samples."""
     mode = config.baseline if role == "baseline" else config.treatment
     plan = plan_launch(mode)
     backend = _make_backend(config, role)
@@ -286,11 +287,7 @@ def _run_one_mode(config: ExperimentConfig, role: str, fs) -> RunResult:
         return backend.now_ns() / 1e9 if simulated else time.perf_counter()
 
     monitor = MeminfoMonitor(fs, config.monitor_cadence_s)
-    before = None
-    try:
-        before = monitor.poll_once()
-    except (OSError, ValueError):
-        pass
+    before = monitor.sample()
     threaded = before is not None and not isinstance(fs, FixtureFs)
     if threaded:
         monitor.start()
@@ -298,105 +295,89 @@ def _run_one_mode(config: ExperimentConfig, role: str, fs) -> RunResult:
     during = []
     rep_records: list[RegionRecord] = []
     rep_elapsed: list[float] = []
-    checksum = None
-    workload = config.workload
     try:
         for _ in range(config.repetitions):
-            if workload.kind == EXTERNAL:
-                record, elapsed, rc = _run_external_rep(
-                    workload, plan, backend, config.events, now_s, mode)
-                if rc != 0:
-                    raise WorkloadFailed(mode, rc)
-            else:
-                record, elapsed, checksum = _run_kernel_rep(
-                    workload, plan, backend, config.events, now_s)
+            record, elapsed, checksum = _run_rep(config.workload, plan, mode,
+                                                 backend, config.events, now_s)
             rep_records.append(record)
             rep_elapsed.append(elapsed)
             if before is not None and not threaded:
-                try:
-                    during.append(monitor.poll_once())
-                except (OSError, ValueError):
-                    pass
+                during.append(monitor.sample())
     finally:
         if threaded:
             during.extend(monitor.stop())
-            try:
-                during.append(monitor.poll_once())
-            except (OSError, ValueError):
-                pass
+            during.append(monitor.sample())
 
+    during = [snap for snap in during if snap is not None]
     if before is None:
         verdict = UsageVerdict.indeterminate("meminfo unavailable")
     else:
         verdict = detect_usage(before, during or [before])
 
     per_rep_metrics = [derive(r, config.cpu) for r in rep_records]
-    region = workload.region_name
-    return RunResult(
-        mode=mode,
-        records=aggregate(rep_records),
-        region_metrics={region: _median_metrics(per_rep_metrics)},
-        verdict=verdict,
-        elapsed_s=statistics.median(rep_elapsed),
-        checksum=checksum,
-    )
+    run = run_dict(mode, aggregate(rep_records)[config.workload.region_name],
+                   _median_metrics(per_rep_metrics), verdict,
+                   statistics.median(rep_elapsed), checksum)
+    return run, monitor
 
 
-def _run_kernel_rep(workload, plan, backend, events, now_s):
-    # In-process kernels ignore the launch plan's env/wrapper: the plan
-    # applies to spawned commands, while this process's mapping policy is
-    # whatever the host gave us. The plan still gets recorded in the config.
-    pattern = WORKLOAD_PATTERNS[workload.kind]
+def _run_rep(workload, plan, mode, backend, events, now_s):
+    """One repetition: t0, region begin, the kernel or the command, region
+    end, t1. Returns (record, elapsed seconds, checksum or None).
+
+    In-process kernels ignore the launch plan's env/wrapper: the plan
+    applies to spawned commands, while this process's mapping policy is
+    whatever the host gave us. The plan still gets recorded in the config.
+    """
+    name = workload.region_name
+    returncode, checksum = 0, None
     with open_session(backend, events) as session:
         collector = RegionCollector(session)
         t0 = now_s()
-        collector.region_begin(workload.region_name)
-        checksum = blockmesh.run_kernel(workload.layout, pattern,
-                                        workload.passes, workload.fill,
-                                        workload.alloc)
-        record = collector.region_end(workload.region_name)
+        collector.region_begin(name)
+        if workload.kind == EXTERNAL:
+            try:
+                returncode = subprocess.run(
+                    plan.command(list(workload.argv)),
+                    env=plan.environ(dict(os.environ)),
+                    capture_output=True).returncode
+            except FileNotFoundError as exc:
+                # Shell convention for command-not-found; usually the mode's
+                # wrapper tool is missing, which doctor() flags in advance.
+                raise WorkloadFailed(mode, 127) from exc
+        else:
+            checksum = blockmesh.run_kernel(workload.layout,
+                                            WORKLOAD_PATTERNS[workload.kind],
+                                            workload.passes, workload.fill,
+                                            workload.alloc)
+        record = collector.region_end(name)
         t1 = now_s()
+    if returncode != 0:
+        raise WorkloadFailed(mode, returncode)
     return record, elapsed_timer(t0, t1), checksum
 
 
-def _run_external_rep(workload, plan, backend, events, now_s, mode):
-    argv = plan.command(list(workload.argv))
-    env = plan.environ(dict(os.environ))
-    with open_session(backend, events) as session:
-        start = session.read()
-        t0 = now_s()
-        try:
-            proc = subprocess.run(argv, env=env, capture_output=True)
-        except FileNotFoundError as exc:
-            # Shell convention for command-not-found; usually the mode's
-            # wrapper tool is missing, which doctor() flags in advance.
-            raise WorkloadFailed(mode, 127) from exc
-        t1 = now_s()
-        stop = session.read()
-    delta = {ev: stop.values[ev] - start.values[ev] for ev in events}
-    record = RegionRecord("main", 1, delta)
-    return record, elapsed_timer(t0, t1), proc.returncode
-
-
 def run_experiment(config: ExperimentConfig, fs=None,
-                   out_dir: str | Path | None = None) -> ComparisonReport:
+                   out_dir: str | Path | None = None) -> dict:
     """Run baseline and treatment, reduce to ratio rows, optionally persist.
 
-    On a treatment workload failure the baseline results are preserved on
-    the raised WorkloadFailed as a partial report.
+    Returns the report dict, the same document save_report writes and
+    load_report reads. On a treatment workload failure the baseline results
+    are preserved on the raised WorkloadFailed as a partial report.
     """
     fs = fs if fs is not None else RealFs()
-    runs: dict[str, RunResult] = {}
+    runs: dict[str, dict] = {}
+    monitors: dict[str, MeminfoMonitor] = {}
     for role in ("baseline", "treatment"):
         try:
-            runs[role] = _run_one_mode(config, role, fs)
+            runs[role], monitors[role] = _run_one_mode(config, role, fs)
         except WorkloadFailed as exc:
-            exc.partial = _assemble(config, runs, partial=True)
-            if out_dir is not None and exc.partial is not None:
+            exc.partial = _assemble(config, runs, monitors, partial=True)
+            if out_dir is not None:
                 save_report(exc.partial, out_dir)
             raise
 
-    report = _assemble(config, runs)
+    report = _assemble(config, runs, monitors)
     if out_dir is not None:
         save_report(report, out_dir)
     return report
@@ -406,24 +387,30 @@ def _is_hp_mode(mode: HugePageMode) -> bool:
     return mode not in (HugePageMode.Off, HugePageMode.FujitsuNone)
 
 
-def _assemble(config: ExperimentConfig, runs: dict[str, RunResult],
-              partial: bool = False) -> ComparisonReport:
+def _assemble(config: ExperimentConfig, runs: dict[str, dict],
+              monitors: dict[str, MeminfoMonitor], partial: bool = False) -> dict:
     warnings = []
-    ratio_rows: dict[str, list[RatioRow]] = {}
+    ratio_rows: dict[str, list[dict]] = {}
     if "baseline" in runs and "treatment" in runs:
         base, treat = runs["baseline"], runs["treatment"]
-        for region in sorted(set(base.region_metrics) & set(treat.region_metrics)):
-            ratio_rows[region] = ratios(treat.region_metrics[region],
-                                        base.region_metrics[region],
-                                        timers=(treat.elapsed_s, base.elapsed_s))
+        for region in sorted(set(base["regions"]) & set(treat["regions"])):
+            rows = ratios(DerivedMetrics(**treat["regions"][region]["metrics"]),
+                          DerivedMetrics(**base["regions"][region]["metrics"]),
+                          timers=(treat["elapsed_s"], base["elapsed_s"]))
+            ratio_rows[region] = [asdict(row) for row in rows]
     for role, run in runs.items():
-        expect_hp = _is_hp_mode(run.mode)
-        if expect_hp and run.verdict.state != "active":
-            warnings.append(f"{role} mode {run.mode.value!r} shows no huge-page "
-                            f"evidence (verdict: {run.verdict.state})")
-        if not expect_hp and run.verdict.state == "active":
-            warnings.append(f"{role} mode {run.mode.value!r} unexpectedly shows "
+        expect_hp = _is_hp_mode(HugePageMode(run["mode"]))
+        state = run["verdict"]["state"]
+        if expect_hp and state != "active":
+            warnings.append(f"{role} mode {run['mode']!r} shows no huge-page "
+                            f"evidence (verdict: {state})")
+        if not expect_hp and state == "active":
+            warnings.append(f"{role} mode {run['mode']!r} unexpectedly shows "
                             f"huge-page evidence")
+    for role, monitor in monitors.items():
+        if monitor.dropped:
+            warnings.append(f"{role}: {monitor.dropped} of {monitor.samples} "
+                            f"meminfo samples could not be read")
     if partial:
         warnings.append("partial report: a workload failed before completion")
 
@@ -434,62 +421,28 @@ def _assemble(config: ExperimentConfig, runs: dict[str, RunResult],
         "created_at": (None if config.backend == "simulated"
                        else time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())),
     }
-    return ComparisonReport(
-        label=config.label,
-        config=config.to_dict(),
-        provenance=provenance,
-        runs=runs,
-        ratio_rows=ratio_rows,
-        warnings=warnings,
-    )
+    return {
+        "label": config.label,
+        "config": config.to_dict(),
+        "provenance": provenance,
+        "runs": runs,
+        "ratios": ratio_rows,
+        "warnings": warnings,
+    }
 
 
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
 
-def _verdict_to_dict(v: UsageVerdict) -> dict:
-    return {"state": v.state,
-            "evidence": [[name, delta] for name, delta in v.evidence],
-            "reason": v.reason}
+def report_to_json(report: dict) -> str:
+    return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
-def _run_to_dict(run: RunResult) -> dict:
-    regions = {}
-    for name, rec in run.records.items():
-        regions[name] = {
-            "region_count": rec.region_count,
-            "totals": {EVENT_NAMES[ev]: int(v) for ev, v in rec.totals.items()},
-            "metrics": (asdict(run.region_metrics[name])
-                        if name in run.region_metrics else None),
-        }
-    return {"mode": run.mode.value, "elapsed_s": run.elapsed_s,
-            "checksum": run.checksum, "verdict": _verdict_to_dict(run.verdict),
-            "regions": regions}
-
-
-def report_to_dict(report: ComparisonReport) -> dict:
-    return {
-        "label": report.label,
-        "config": report.config,
-        "provenance": report.provenance,
-        "runs": {role: _run_to_dict(run) for role, run in report.runs.items()},
-        "ratios": {
-            region: [asdict(row) for row in rows]
-            for region, rows in report.ratio_rows.items()},
-        "warnings": report.warnings,
-    }
-
-
-def report_to_json(report: ComparisonReport | dict) -> str:
-    d = report if isinstance(report, dict) else report_to_dict(report)
-    return json.dumps(d, sort_keys=True, indent=2) + "\n"
-
-
-def save_report(report: ComparisonReport, out_dir: str | Path) -> Path:
+def save_report(report: dict, out_dir: str | Path) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    path = out / f"report-{report.provenance['config_hash']}.json"
+    path = out / f"report-{report['provenance']['config_hash']}.json"
     path.write_text(report_to_json(report))
     return path
 
@@ -528,10 +481,6 @@ def _need_numbers(values) -> None:
 # Rendering entry points (table / csv / chart) over the JSON dict form
 # ---------------------------------------------------------------------------
 
-def _as_dict(report: ComparisonReport | dict) -> dict:
-    return report if isinstance(report, dict) else report_to_dict(report)
-
-
 def _cells_from_run(run: dict, region: str) -> dict[str, float | None]:
     info = run.get("regions", {}).get(region)
     if not info or not info.get("metrics"):
@@ -541,34 +490,32 @@ def _cells_from_run(run: dict, region: str) -> dict[str, float | None]:
     return cells
 
 
-def report_regions(report: ComparisonReport | dict) -> list[str]:
-    d = _as_dict(report)
+def report_regions(report: dict) -> list[str]:
     names = set()
-    for run in d.get("runs", {}).values():
+    for run in report.get("runs", {}).values():
         names.update(run.get("regions", {}))
     return sorted(names)
 
 
-def render_table(report: ComparisonReport | dict) -> str:
+def render_table(report: dict) -> str:
     """Without/With table per region, three significant figures."""
-    d = _as_dict(report)
-    base = d.get("runs", {}).get("baseline", {})
-    treat = d.get("runs", {}).get("treatment", {})
+    base = report.get("runs", {}).get("baseline", {})
+    treat = report.get("runs", {}).get("treatment", {})
     blocks = []
-    for region in report_regions(d):
+    for region in report_regions(report):
         blocks.append(render.metrics_table(
             _cells_from_run(base, region), _cells_from_run(treat, region), region))
     return "\n".join(blocks)
 
 
-def render_csv(report: ComparisonReport | dict) -> str:
+def render_csv(report: dict) -> str:
     """Full-precision machine-readable rows mirroring the table."""
     return render.ratio_rows_csv({
         region: [RatioRow(**r) for r in rows]
-        for region, rows in _as_dict(report).get("ratios", {}).items()})
+        for region, rows in report.get("ratios", {}).items()})
 
 
-def render_ratio_chart(reports: list[ComparisonReport | dict],
+def render_ratio_chart(reports: list[dict],
                        region: str | None = None) -> tuple[str, str]:
     """SVG chart plus companion CSV for one region across several reports.
 
@@ -580,14 +527,13 @@ def render_ratio_chart(reports: list[ComparisonReport | dict],
     ratios_map: dict[tuple[str, str], float | None] = {}
     labels_present: list[str] = []
     for rep in reports:
-        d = _as_dict(rep)
-        case = d.get("label", "case")
+        case = rep.get("label", "case")
         cases.append(case)
-        regions = sorted(d.get("ratios", {}))
+        regions = sorted(rep.get("ratios", {}))
         if not regions:
             continue
         use = region if region is not None else regions[0]
-        for row in d["ratios"].get(use, []):
+        for row in rep["ratios"].get(use, []):
             if row["measure"] not in labels_present:
                 labels_present.append(row["measure"])
             ratios_map[(row["measure"], case)] = row["ratio"]

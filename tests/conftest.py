@@ -9,12 +9,14 @@ measures so that deriving them again reproduces those values exactly.
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import pytest
 
 from pagescope.counterhub import EventId, RegionRecord
 from pagescope.hugepagectl import HugePageMode, UsageVerdict
 from pagescope.metrics import CpuSpec, derive, ratios
-from pagescope.report import ComparisonReport, RunResult
+from pagescope.report import run_dict
 
 REF_FREQ_HZ = 1.8e9
 REF_LINE_BYTES = 256
@@ -76,7 +78,7 @@ def reference_ratio_rows(case: dict):
                   timers=(case["with"]["timer"], case["without"]["timer"]))
 
 
-def reference_report(label: str) -> ComparisonReport:
+def reference_report(label: str) -> dict:
     case = REFERENCE_CASES[label]
     region = case["region"]
     runs = {}
@@ -86,22 +88,18 @@ def reference_report(label: str) -> ComparisonReport:
              UsageVerdict.active([("hugetlb_kb", 12288)]))):
         side = case[side_name]
         record = RegionRecord(region, 1, raw_totals(side))
-        runs[role] = RunResult(
-            mode=mode,
-            records={region: record},
-            region_metrics={region: derive(record,
-                                           CpuSpec(REF_FREQ_HZ, REF_LINE_BYTES))},
-            verdict=verdict,
-            elapsed_s=side["timer"],
-        )
-    return ComparisonReport(
-        label=label,
-        config={"reference_fixture": label},
-        provenance={"config_hash": f"fixture-{case['region']}",
-                    "host": "fixture", "backend": "fixture", "created_at": None},
-        runs=runs,
-        ratio_rows={region: reference_ratio_rows(case)},
-    )
+        runs[role] = run_dict(mode, record,
+                              derive(record, CpuSpec(REF_FREQ_HZ, REF_LINE_BYTES)),
+                              verdict, elapsed_s=side["timer"])
+    return {
+        "label": label,
+        "config": {"reference_fixture": label},
+        "provenance": {"config_hash": f"fixture-{case['region']}",
+                       "host": "fixture", "backend": "fixture", "created_at": None},
+        "runs": runs,
+        "ratios": {region: [asdict(row) for row in reference_ratio_rows(case)]},
+        "warnings": [],
+    }
 
 
 MEMINFO_UNTRACKED_PREFIX = """\

@@ -201,6 +201,21 @@ def test_trace_save_load_round_trip(tmp_path):
     assert loaded.passes == 2
 
 
+def test_save_trace_writes_without_copying_the_offsets(tmp_path):
+    import tracemalloc
+    trace = gen_trace(UnkLayout.simple(5, 16, 16, 16, 40), TraversalPattern.ZoneSweep)
+    assert trace.offsets.nbytes > 4 * 1024 ** 2
+    path = tmp_path / "big.trace"
+    tracemalloc.start()
+    try:
+        save_trace(trace, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < trace.offsets.nbytes // 16
+    assert path.read_bytes() == trace.offsets.astype("<u8").tobytes()
+
+
 def test_load_raw_stream_without_sidecar(tmp_path):
     path = tmp_path / "raw.trace"
     offsets = np.array([0, 4096, 8192], dtype="<u8")

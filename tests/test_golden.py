@@ -19,7 +19,7 @@ from pagescope.cli import main
 from pagescope.counterhub import EventId
 from pagescope.hugepagectl import MEMINFO_PATH, FixtureFs
 from pagescope.report import ExperimentConfig, WorkloadSpec, render_csv, \
-    render_table, report_to_dict, report_to_json, run_experiment
+    render_table, report_to_json, run_experiment
 
 from conftest import meminfo_text
 
@@ -59,7 +59,7 @@ def determinism_outputs() -> dict[str, str]:
     fs = FixtureFs({MEMINFO_PATH: [
         meminfo_text(), meminfo_text(),
         meminfo_text(), meminfo_text(anon_kb=2048 * 1024)]})
-    d = report_to_dict(run_experiment(config, fs=fs))
+    d = run_experiment(config, fs=fs)
     d["provenance"]["host"] = "normalized-host"
     return {"json": report_to_json(d), "table": render_table(d),
             "csv": render_csv(d)}

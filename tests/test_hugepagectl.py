@@ -251,3 +251,16 @@ def test_monitor_poll_once_and_thread_drain():
     verdict = detect_usage(before, during)
     assert verdict.state == "active"
     assert verdict.evidence[0][0] == "anon_huge_kb"
+
+
+def test_monitor_thread_counts_unreadable_samples():
+    fs = FixtureFs({MEMINFO_PATH: ["AnonHugePages: x kB\n",
+                                   meminfo_text(anon_kb=4096)]})
+    monitor = MeminfoMonitor(fs, cadence_s=0.001)
+    monitor.start()
+    import time
+    time.sleep(0.05)
+    during = monitor.stop()
+    assert monitor.dropped == 1
+    assert monitor.samples == len(during) + 1
+    assert during and all(snap.anon_huge_kb == 4096 for snap in during)

@@ -14,12 +14,11 @@ from pagescope.hugepagectl import (
     ThpMode,
     UsageVerdict,
 )
-from pagescope.metrics import LABEL_BANDWIDTH, LABEL_DTLB, DerivedMetrics
+from pagescope.metrics import (LABEL_BANDWIDTH, LABEL_DTLB, LABEL_TIMER,
+                               DerivedMetrics, RatioRow)
 from pagescope.report import (
-    ComparisonReport,
     CounterUnavailable,
     ExperimentConfig,
-    RunResult,
     WorkloadFailed,
     WorkloadSpec,
     doctor,
@@ -27,8 +26,10 @@ from pagescope.report import (
     render_ratio_chart,
     render_table,
     report_to_json,
+    run_dict,
     run_experiment,
     load_report,
+    save_report,
 )
 
 from conftest import meminfo_text, reference_report
@@ -63,7 +64,7 @@ def zero_fs():
 
 
 def _rows(report, region="zone-sweep"):
-    return {row.measure: row for row in report.ratio_rows[region]}
+    return {row["measure"]: RatioRow(**row) for row in report["ratios"][region]}
 
 
 def test_identity_experiment_all_ratios_one():
@@ -71,8 +72,8 @@ def test_identity_experiment_all_ratios_one():
     rows = _rows(report)
     assert len(rows) == 6
     assert all(row.ratio == 1.0 for row in rows.values())
-    assert report.runs["baseline"].verdict.state == "inactive"
-    assert report.runs["treatment"].verdict.state == "inactive"
+    assert report["runs"]["baseline"]["verdict"]["state"] == "inactive"
+    assert report["runs"]["treatment"]["verdict"]["state"] == "inactive"
 
 
 def test_proportional_dtlb_increments_reproduce_reference_ratio():
@@ -85,11 +86,10 @@ def test_proportional_dtlb_increments_reproduce_reference_ratio():
 def test_repetitions_aggregate_by_median():
     config = sim_config(BASE_INC, BASE_INC, repetitions=3)
     report = run_experiment(config, fs=zero_fs())
-    run = report.runs["baseline"]
-    assert run.records["zone-sweep"].region_count == 3
+    region = report["runs"]["baseline"]["regions"]["zone-sweep"]
+    assert region["region_count"] == 3
     # Median of identical simulated reps equals the single-rep value.
-    assert run.region_metrics["zone-sweep"].hw_cycles == \
-        BASE_INC[EventId.CpuCycles]
+    assert region["metrics"]["hw_cycles"] == BASE_INC[EventId.CpuCycles]
 
 
 def test_treatment_meminfo_evidence_yields_active_verdict():
@@ -98,14 +98,14 @@ def test_treatment_meminfo_evidence_yields_active_verdict():
         meminfo_text(), meminfo_text(),
         meminfo_text(), meminfo_text(total=6, surp=6, hugetlb_kb=12288)]})
     report = run_experiment(sim_config(BASE_INC, BASE_INC), fs=fs)
-    assert report.runs["baseline"].verdict.state == "inactive"
-    assert report.runs["treatment"].verdict.state == "active"
-    assert not any("treatment" in w for w in report.warnings)
+    assert report["runs"]["baseline"]["verdict"]["state"] == "inactive"
+    assert report["runs"]["treatment"]["verdict"]["state"] == "active"
+    assert not any("treatment" in w for w in report["warnings"])
 
 
 def test_missing_hp_evidence_is_flagged_not_fatal():
     report = run_experiment(sim_config(BASE_INC, BASE_INC), fs=zero_fs())
-    assert any("no huge-page evidence" in w for w in report.warnings)
+    assert any("no huge-page evidence" in w for w in report["warnings"])
 
 
 def test_external_workload_roundtrip():
@@ -118,8 +118,11 @@ def test_external_workload_roundtrip():
             {"baseline": BASE_INC, "treatment": BASE_INC}),
         label="ext")
     report = run_experiment(config, fs=zero_fs())
-    assert "main" in report.runs["baseline"].records
+    assert "main" in report["runs"]["baseline"]["regions"]
     assert _rows(report, region="main")[LABEL_DTLB].ratio == 1.0
+    # Both kinds of workload are timed inside the same bracket, so the
+    # neutral simulated table has a timer ratio of 1 here too.
+    assert _rows(report, region="main")[LABEL_TIMER].ratio == 1.0
 
 
 def test_missing_wrapper_tool_maps_to_workload_failure():
@@ -136,7 +139,7 @@ def test_missing_wrapper_tool_maps_to_workload_failure():
     with pytest.raises(WorkloadFailed) as err:
         run_experiment(config, fs=zero_fs())
     assert err.value.returncode == 127
-    assert "baseline" in err.value.partial.runs
+    assert "baseline" in err.value.partial["runs"]
 
 
 def test_treatment_failure_preserves_baseline():
@@ -154,9 +157,9 @@ def test_treatment_failure_preserves_baseline():
         run_experiment(config, fs=zero_fs())
     partial = err.value.partial
     assert err.value.mode == HugePageMode.FujitsuHugetlbfs
-    assert "baseline" in partial.runs and "treatment" not in partial.runs
-    assert partial.ratio_rows == {}
-    assert any("partial" in w for w in partial.warnings)
+    assert "baseline" in partial["runs"] and "treatment" not in partial["runs"]
+    assert partial["ratios"] == {}
+    assert any("partial" in w for w in partial["warnings"])
 
 
 def test_simulated_reports_byte_identical(tmp_path):
@@ -179,15 +182,33 @@ def test_report_persistence_keyed_by_config_hash(tmp_path):
     assert len(list(tmp_path.glob("report-*.json"))) == 1
 
 
+def test_saved_report_is_the_returned_report(tmp_path):
+    report = run_experiment(sim_config(BASE_INC, BASE_INC), fs=zero_fs())
+    path = save_report(report, tmp_path)
+    loaded = load_report(path)
+    assert report_to_json(loaded) == path.read_text()
+    assert loaded == report
+
+
+def test_unreadable_meminfo_sample_is_reported():
+    # Baseline: good before, a malformed document after repetition 1.
+    fs = FixtureFs({MEMINFO_PATH: [meminfo_text(), "AnonHugePages: x kB\n",
+                                   meminfo_text()]})
+    report = run_experiment(sim_config(BASE_INC, BASE_INC, repetitions=2), fs=fs)
+    drops = [w for w in report["warnings"] if "meminfo samples" in w]
+    assert drops == ["baseline: 1 of 3 meminfo samples could not be read"]
+    assert report["runs"]["baseline"]["verdict"]["state"] == "inactive"
+
+
 def test_ratio_rows_match_metrics_module():
     from pagescope.metrics import ratios
     report = run_experiment(sim_config(BASE_INC, BASE_INC), fs=zero_fs())
-    base = report.runs["baseline"]
-    treat = report.runs["treatment"]
-    recomputed = ratios(treat.region_metrics["zone-sweep"],
-                        base.region_metrics["zone-sweep"],
-                        timers=(treat.elapsed_s, base.elapsed_s))
-    assert recomputed == report.ratio_rows["zone-sweep"]
+    base = report["runs"]["baseline"]
+    treat = report["runs"]["treatment"]
+    recomputed = ratios(DerivedMetrics(**treat["regions"]["zone-sweep"]["metrics"]),
+                        DerivedMetrics(**base["regions"]["zone-sweep"]["metrics"]),
+                        timers=(treat["elapsed_s"], base["elapsed_s"]))
+    assert recomputed == [RatioRow(**row) for row in report["ratios"]["zone-sweep"]]
 
 
 def test_config_round_trip_and_hash_stability():
@@ -234,11 +255,10 @@ def test_render_table_reference_cells(eos_case):
 def test_render_table_unavailable_measure():
     record = RegionRecord("r", 1, {EventId.CpuCycles: 10 ** 9})
     metrics = DerivedMetrics(1e9, 1e9 / 1.8e9, None, None, None)
-    run = RunResult(HugePageMode.Off, {"r": record}, {"r": metrics},
-                    UsageVerdict.inactive(), 1.0)
-    report = ComparisonReport(
-        label="sparse", config={}, provenance={"config_hash": "x"},
-        runs={"baseline": run, "treatment": run}, ratio_rows={})
+    run = run_dict(HugePageMode.Off, record, metrics, UsageVerdict.inactive(), 1.0)
+    report = {"label": "sparse", "config": {}, "provenance": {"config_hash": "x"},
+              "runs": {"baseline": run, "treatment": run}, "ratios": {},
+              "warnings": []}
     table = render_table(report)
     bandwidth_row = [l for l in table.splitlines()
                      if l.startswith(LABEL_BANDWIDTH)][0]
@@ -291,8 +311,8 @@ def test_chart_identity_bars_at_one():
 
 
 def test_chart_degenerate_empty_report():
-    empty = ComparisonReport(label="empty", config={}, provenance={},
-                             runs={}, ratio_rows={})
+    empty = {"label": "empty", "config": {}, "provenance": {}, "runs": {},
+             "ratios": {}, "warnings": []}
     svg, csv = render_ratio_chart([empty])
     assert "<svg" in svg and "stroke-dasharray" in svg  # axes + guide line
     assert _svg_ratios(svg) == {}
