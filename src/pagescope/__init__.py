@@ -7,8 +7,7 @@ Subpackages by job:
   blockmesh   - block-mesh array geometry, traces, and sum workloads
   tlbsim      - LRU TLB replay with an independent stack-distance oracle
   report      - experiment orchestration, tables, charts, capability doctor
+  _kernels    - the LRU replay loop and the chunked trace-order sum
 """
 
 __version__ = "0.1.0"
-
-from ._kernels import NUMBA_ENABLED  # noqa: F401

@@ -114,7 +114,7 @@ class WorkloadSpec:
                 raise ValueError(f"workload {self.kind!r} needs a layout")
         else:
             raise ValueError(f"unknown workload kind {self.kind!r}")
-        if not isinstance(self.passes, int) or self.passes < 1:
+        if type(self.passes) is not int or self.passes < 1:
             raise ValueError("passes must be an integer >= 1")
 
     @property
@@ -135,12 +135,15 @@ class WorkloadSpec:
     def from_dict(cls, d: dict) -> "WorkloadSpec":
         _reject_unknown_keys(d, [f.name for f in fields(cls)], "workload")
         layout = d.get("layout")
+        argv = d.get("argv", [])
+        if not isinstance(argv, list) or not all(isinstance(a, str) for a in argv):
+            raise ValueError(f"argv {argv!r} is not a list of strings")
         return cls(kind=d["kind"],
                    layout=blockmesh.UnkLayout.from_dict(layout) if layout else None,
                    passes=d.get("passes", 1),
                    alloc=d.get("alloc", "eager"),
                    fill=d.get("fill", 1.0),
-                   argv=tuple(d.get("argv", ())))
+                   argv=tuple(argv))
 
 
 @dataclass(frozen=True)
@@ -158,7 +161,7 @@ class ExperimentConfig:
     label: str = "experiment"
 
     def __post_init__(self):
-        if not isinstance(self.repetitions, int) or self.repetitions < 1:
+        if type(self.repetitions) is not int or self.repetitions < 1:
             raise ValueError("repetitions must be an integer >= 1")
         if self.baseline == self.treatment:
             raise ValueError("baseline and treatment modes must differ")

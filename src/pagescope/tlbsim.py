@@ -80,23 +80,35 @@ def _offsets(trace) -> np.ndarray:
     return np.asarray(offs, dtype=np.uint64)
 
 
-def _page_ids(trace, page_size_bytes: int) -> np.ndarray:
+def _shift(page_size_bytes: int) -> np.uint64:
     # Page sizes are powers of two >= 4 KiB, so the ids fit in 52 bits and
     # the int64 view of the shifted offsets is exact.
-    shift = np.uint64(page_size_bytes.bit_length() - 1)
-    return (_offsets(trace) >> shift).view(np.int64)
+    return np.uint64(page_size_bytes.bit_length() - 1)
 
 
-def _runs(pages: np.ndarray) -> np.ndarray:
-    """The first access of each run of equal consecutive page ids."""
-    return pages[np.r_[True, pages[1:] != pages[:-1]]]
+def _page_ids(trace, page_size_bytes: int) -> np.ndarray:
+    return (_offsets(trace) >> _shift(page_size_bytes)).view(np.int64)
 
 
-def _periodic_pass(pages: np.ndarray, passes: int) -> np.ndarray | None:
-    """One pass of `pages` if it is exactly `passes` repeats of it, else None."""
-    if passes < 2 or pages.size % passes:
+def _runs(offsets: np.ndarray, shift: np.uint64) -> np.ndarray:
+    """Page id of the first access of each run of equal consecutive page ids.
+
+    Offsets are mapped to page ids chunk by chunk, so no page-id array the
+    size of the trace is built next to the offsets."""
+    keep = np.empty(offsets.size, dtype=bool)
+    keep[:1] = True
+    step = _kernels.CHUNK
+    for start in range(1, offsets.size, step):
+        pages = offsets[start - 1:start + step] >> shift
+        np.not_equal(pages[1:], pages[:-1], out=keep[start:start + step])
+    return (offsets[keep] >> shift).view(np.int64)
+
+
+def _periodic_pass(offsets: np.ndarray, passes: int) -> np.ndarray | None:
+    """One pass of `offsets` if it is exactly `passes` repeats of it, else None."""
+    if passes < 2 or offsets.size % passes:
         return None
-    rows = pages.reshape(passes, -1)
+    rows = offsets.reshape(passes, -1)
     return rows[0] if (rows == rows[0]).all() else None
 
 
@@ -107,21 +119,22 @@ def simulate(config: TlbConfig, trace) -> TlbStats:
     A trace with `passes` > 1 whose data repeats with that period is folded
     (see the module docstring); any other trace replays in full. Either way
     only the first access of each same-page run reaches the LRU kernel."""
-    pages = _page_ids(trace, config.page_size_bytes)
-    if pages.size == 0:
+    offsets = _offsets(trace)
+    if offsets.size == 0:
         return TlbStats(0, 0, 0)
+    shift = _shift(config.page_size_bytes)
     passes = getattr(trace, "passes", 1)
-    one_pass = _periodic_pass(pages, passes)
+    one_pass = _periodic_pass(offsets, passes)
     if one_pass is None:
-        runs = _runs(pages)
+        runs = _runs(offsets, shift)
         misses = _kernels.lru_misses(runs, config.sets, config.ways)
     else:
-        runs = _runs(one_pass)
+        runs = _runs(one_pass, shift)
         m1 = _kernels.lru_misses(runs, config.sets, config.ways)
-        m2 = _kernels.lru_misses(_runs(pages[:2 * one_pass.size]),
+        m2 = _kernels.lru_misses(_runs(offsets[:2 * one_pass.size], shift),
                                  config.sets, config.ways)
         misses = m1 + (passes - 1) * (m2 - m1)
-    return TlbStats(int(pages.size), int(misses), int(np.unique(runs).size))
+    return TlbStats(int(offsets.size), int(misses), int(np.unique(runs).size))
 
 
 def stack_distance_oracle(entries: int, trace, page_size_bytes: int) -> TlbStats:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pagescope import _kernels
 from pagescope.blockmesh import (
     AllocationFailure,
     IndexOutOfBounds,
@@ -169,6 +170,30 @@ def test_checksum_identical_across_alloc_strategies(pattern):
     demand = run_kernel(SMALL, pattern, 2, 1.5, alloc="demand")
     assert eager == demand
     assert eager == 2 * 1.5 * gen_trace(SMALL, pattern).accesses
+
+
+@pytest.mark.parametrize("length", [_kernels.CHUNK - 1, _kernels.CHUNK,
+                                    _kernels.CHUNK + 1, 2 * _kernels.CHUNK + 3])
+def test_sum_trace_across_chunk_boundaries(length):
+    rng = np.random.default_rng(length)
+    values = rng.integers(0, 100, size=3 * _kernels.CHUNK).astype(np.float64)
+    idx = rng.integers(0, values.shape[0], size=length)
+    assert _kernels.sum_trace(values, idx) == float(values[idx].sum())
+    assert _kernels.sum_trace(values, idx, fill=2.0) == 2.0 * length
+    assert np.all(values[idx] == 2.0)
+
+
+def test_run_kernel_allocates_no_gather_temporary():
+    import tracemalloc
+    lay = UnkLayout.simple(1, 1024, 1024, 1, 1)
+    index_bytes = 8 * gen_trace(lay, TraversalPattern.RepeatedSum2D).accesses
+    tracemalloc.start()
+    try:
+        run_kernel(lay, TraversalPattern.RepeatedSum2D, 2, 1.0, alloc="demand")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < lay.total_bytes + index_bytes + 1024 ** 2
 
 
 def test_bad_alloc_token():

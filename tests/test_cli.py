@@ -164,12 +164,17 @@ def _config_file(content):
         "kind": "sum2d", "layout": PLANE_8, "pases": 3}}),
     _config_file({"workload": {"kind": "sum2d", "layout": PLANE_8, "pases": 3}}),
     _config_file({"cpu": {"freq": 2e9}}),
+    _config_file({"workload": {"kind": "sum2d", "layout": {**PLANE_8, "nvar": 2.5}}}),
+    _config_file({"repetitions": True}),
+    # --workload sum2d replaces the kind; the string argv is still rejected.
+    _config_file({"workload": {"kind": "external", "layout": PLANE_8, "argv": "true"}}),
 ], ids=["n-0", "passes-0", "repetitions-0", "short-layout", "missing-config",
         "config-not-object", "config-workload-not-object",
         "config-layout-incomplete", "config-increments-not-object",
         "config-cadence-negative", "config-label-not-string",
         "config-misspelled-keys", "config-workload-unknown-key",
-        "config-cpu-unknown-key"])
+        "config-cpu-unknown-key", "config-layout-float",
+        "config-repetitions-bool", "config-argv-not-list"])
 def test_bad_run_flags_are_bad_configuration(tmp_path, capsys, flags):
     if callable(flags):
         flags = flags(tmp_path)
@@ -238,6 +243,11 @@ def _sidecar_zero_elem_bytes(tmp_path):
     return _trace_with_sidecar(tmp_path, lambda meta: {**meta, "elem_bytes": 0})
 
 
+def _sidecar_float_layout(tmp_path):
+    return _trace_with_sidecar(tmp_path, lambda meta: {
+        **meta, "layout": {**meta["layout"], "nvar": float(meta["layout"]["nvar"])}})
+
+
 def _malformed_layout(tmp_path):
     return ["trace", "--layout", "5,16,x", "--out", str(tmp_path / "t.trace")]
 
@@ -249,7 +259,8 @@ def _invalid_layout(tmp_path):
 @pytest.mark.parametrize("make_argv", [_missing_trace, _ragged_trace,
                                        _sidecar_disagrees, _sidecar_not_object,
                                        _sidecar_layout_incomplete,
-                                       _sidecar_zero_elem_bytes, _malformed_layout,
+                                       _sidecar_zero_elem_bytes,
+                                       _sidecar_float_layout, _malformed_layout,
                                        _invalid_layout])
 def test_bad_trace_input_is_one_line_error(tmp_path, capsys, make_argv):
     argv = make_argv(tmp_path)

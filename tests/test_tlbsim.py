@@ -232,11 +232,20 @@ def _raw_array():
     return rng.randint(0, 30, size=3000).repeat(3).astype(np.uint64) * np.uint64(PAGE_4K)
 
 
+def _raw_array_over_chunks():
+    # Runs of 3 equal pages straddle the chunk boundaries of the collapse.
+    rng = np.random.RandomState(6)
+    pages = rng.randint(0, 30, size=_kernels.CHUNK).repeat(3)
+    return pages.astype(np.uint64) * np.uint64(PAGE_4K)
+
+
 @pytest.mark.parametrize("make_trace", [
     _claims_two_passes_but_halves_differ,
     _passes_do_not_divide_length,
     _raw_array,
-], ids=["passes-claim-false", "passes-not-divisor", "raw-array"])
+    _raw_array_over_chunks,
+], ids=["passes-claim-false", "passes-not-divisor", "raw-array",
+        "raw-array-over-chunks"])
 def test_traces_without_a_verified_period_equal_full_replay(make_trace):
     trace = make_trace()
     for entries, assoc in ((2, None), (4, 2), (8, 1), (48, None)):
@@ -268,8 +277,16 @@ def test_periodic_block_trace_replays_at_most_three_passes(replayed):
 
 
 def test_zone_trace_replays_one_access_per_page_run(replayed):
+    import tracemalloc
     trace = gen_trace(UnkLayout.simple(5, 16, 16, 16, 100),
                       TraversalPattern.ZoneSweep)
-    stats = simulate(TlbConfig(page_size_bytes=PAGE_4K), trace)
+    tracemalloc.start()
+    try:
+        stats = simulate(TlbConfig(page_size_bytes=PAGE_4K), trace)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert replayed == [4000]
     assert stats == TlbStats(trace.accesses, 4000, 4000)
+    # The collapse keeps one flag per access, not a page id per access.
+    assert peak < trace.offsets.nbytes // 4
