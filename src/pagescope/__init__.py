@@ -4,10 +4,11 @@ Subpackages by job:
   counterhub  - counter sessions and named region attribution
   metrics     - derived performance measures and with/without ratios
   hugepagectl - meminfo/THP observation, launch plans, usage verdicts
-  blockmesh   - block-mesh array geometry, traces, and sum workloads
+  blockmesh   - block-mesh array geometry, traversal runs that drive both
+                traces and sum workloads
   tlbsim      - LRU TLB replay with an independent stack-distance oracle
   report      - experiment orchestration, tables, charts, capability doctor
-  _kernels    - the LRU replay loop and the chunked trace-order sum
+  _kernels    - the LRU replay loop
 """
 
 __version__ = "0.1.0"

@@ -5,8 +5,10 @@ column-major container indexed (variable, i, j, k, block), so consecutive
 blocks sit a large constant stride apart in memory. Walking blocks at a
 fixed zone therefore touches a new small page on every access, which is
 exactly the behavior the TLB simulator replays. This module does the
-address math, generates byte-address traces for traversal patterns, and
-runs the traversals as real allocate/fill/sum workloads.
+address math and describes each traversal pattern once, as strided 1-D
+runs of elements. Those runs become both the byte-address traces the
+simulator replays and the array views a real allocate/fill/sum workload
+walks.
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
-
-from . import _kernels
 
 
 class IndexOutOfBounds(IndexError):
@@ -150,23 +150,39 @@ def address_of(layout: UnkLayout, v: int, i: int, j: int, k: int, b: int) -> int
     return elem * layout.elem_bytes
 
 
-def _single_pass_elements(layout: UnkLayout, pattern: TraversalPattern) -> np.ndarray:
-    """Element indices of one traversal pass, in access order."""
+def _single_pass_runs(layout: UnkLayout,
+                      pattern: TraversalPattern) -> list[tuple[int, int, int]]:
+    """One traversal pass as 1-D runs (first element, count, element
+    stride), in access order: the only description of a pattern's shape."""
     if pattern is TraversalPattern.ZoneSweep:
         # Column-major enumeration is the identity walk over the element space.
-        return np.arange(layout.elements, dtype=np.uint64)
+        return [(0, layout.elements, 1)]
     if pattern is TraversalPattern.BlockSweep:
-        stride = np.uint64(layout.nvar * layout.cells_per_block)
-        return np.arange(layout.maxblocks, dtype=np.uint64) * stride
+        return [(0, layout.maxblocks, layout.nvar * layout.cells_per_block)]
     if pattern is TraversalPattern.VarSweep:
-        return np.arange(layout.nvar, dtype=np.uint64)
+        return [(0, layout.nvar, 1)]
     if pattern is TraversalPattern.RepeatedSum2D:
         ni, nj, nvar = layout.ni, layout.nj, layout.nvar
-        # One pass = a column-order sweep (i fastest, contiguous) followed by
-        # a row-order sweep (j fastest, strided) of the v=0, k=k_lo, b=0 plane.
-        col_order = np.arange(ni * nj, dtype=np.uint64).reshape(nj, ni) * np.uint64(nvar)
-        return np.concatenate([col_order, col_order.T], axis=None)
+        # A column-order sweep (i fastest, contiguous) of the v=0, k=k_lo,
+        # b=0 plane, then a row-order sweep (j fastest, strided): one run
+        # per i.
+        return [(0, ni * nj, nvar)] + [(i * nvar, nj, ni * nvar) for i in range(ni)]
     raise ValueError(f"unknown pattern {pattern!r}")
+
+
+def _single_pass_elements(layout: UnkLayout, pattern: TraversalPattern) -> np.ndarray:
+    """Element indices of one traversal pass, in access order."""
+    parts = [np.arange(start, start + count * stride, stride, dtype=np.uint64)
+             for start, count, stride in _single_pass_runs(layout, pattern)]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _run_views(arr: np.ndarray, runs: list[tuple[int, int, int]]) -> list[np.ndarray]:
+    """One strided view of `arr` per run. Every view is 1-D with a positive
+    stride, so numpy writes and reads it in trace order; a 2-D view could be
+    walked in memory order instead."""
+    return [arr[start:start + (count - 1) * stride + 1:stride]
+            for start, count, stride in runs]
 
 
 def gen_trace(layout: UnkLayout, pattern: TraversalPattern,
@@ -188,14 +204,12 @@ def run_kernel(layout: UnkLayout, pattern: TraversalPattern, passes: int,
     pass writes them in access order, so page faults (and any transparent
     huge-page mapping) happen under the measured region. The checksum is
     the sum over every traversed element, identical for both strategies.
-    Each pass gathers into one small reused buffer (`_kernels.sum_trace`),
-    so the measured region allocates nothing the size of a pass.
+    Each pass sums one strided view of the array per run of the pattern,
+    so the measured region reads the array under test and allocates nothing
+    the size of a pass.
     """
     if alloc not in ("eager", "demand"):
         raise ValueError(f"alloc must be eager or demand, got {alloc!r}")
-    # Element indices are far below 2**63, so the int64 view is exact; numpy
-    # would convert uint64 indices on every gather.
-    idx = _single_pass_elements(layout, pattern).view(np.int64)
     try:
         if alloc == "eager":
             arr = np.full(layout.elements, fill, dtype=np.float64)
@@ -204,10 +218,13 @@ def run_kernel(layout: UnkLayout, pattern: TraversalPattern, passes: int,
     except MemoryError as exc:
         raise AllocationFailure(f"cannot allocate {layout.total_bytes} bytes") from exc
 
+    views = _run_views(arr, _single_pass_runs(layout, pattern))
     checksum = 0.0
     for n in range(passes):
-        first_touch = alloc == "demand" and n == 0
-        checksum += _kernels.sum_trace(arr, idx, fill if first_touch else None)
+        for view in views:
+            if alloc == "demand" and n == 0:
+                view[...] = fill
+            checksum += float(view.sum())
     return checksum
 
 

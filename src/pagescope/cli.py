@@ -92,7 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="report JSON (repeat for multi-case charts)")
     ren.add_argument("--format", default="table",
                      choices=["table", "csv", "svg"])
-    ren.add_argument("--region", default=None)
+    ren.add_argument("--region", default=None,
+                     help="region to chart (svg only; default the first)")
     ren.add_argument("--out", default=None)
 
     thp = sub.add_parser("thp", help="show or set the THP mode")
@@ -188,6 +189,10 @@ def _cmd_doctor(_args) -> int:
 
 def _cmd_render(args) -> int:
     reports = [report.load_report(p) for p in args.report]
+    if args.region is not None and args.format != "svg":
+        present = sorted({name for r in reports for name in report.report_regions(r)})
+        raise ValueError(f"--region applies to --format svg only; regions "
+                         f"present: {', '.join(present) or 'none'}")
     if args.format == "table":
         text = "\n".join(report.render_table(r) for r in reports)
     elif args.format == "csv":

@@ -38,8 +38,8 @@ class CpuSpec:
     cache_line_bytes: int = DEFAULT_CACHE_LINE_BYTES
 
     def __post_init__(self):
-        if self.freq_hz <= 0:
-            raise ValueError("freq_hz must be > 0")
+        if not (math.isfinite(self.freq_hz) and self.freq_hz > 0):
+            raise ValueError(f"freq_hz {self.freq_hz!r} must be finite and > 0")
         if self.cache_line_bytes <= 0 or (self.cache_line_bytes &
                                           (self.cache_line_bytes - 1)):
             raise ValueError("cache_line_bytes must be a positive power of two")

@@ -112,6 +112,8 @@ class WorkloadSpec:
         elif self.kind in WORKLOAD_PATTERNS:
             if self.layout is None:
                 raise ValueError(f"workload {self.kind!r} needs a layout")
+            if self.argv:
+                raise ValueError(f"workload {self.kind!r} takes no argv")
         else:
             raise ValueError(f"unknown workload kind {self.kind!r}")
         if type(self.passes) is not int or self.passes < 1:
@@ -523,9 +525,14 @@ def render_ratio_chart(reports: list[dict],
     """SVG chart plus companion CSV for one region across several reports.
 
     Returns (svg_text, csv_text); the two carry identical ratio strings.
+    A region that no report holds is a ValueError naming those it holds.
     """
     if not reports:
         raise ValueError("need at least one report")
+    present = sorted({name for rep in reports for name in rep.get("ratios", {})})
+    if region is not None and region not in present:
+        raise ValueError(f"no region {region!r} in the reports; regions "
+                         f"present: {', '.join(present) or 'none'}")
     cases = []
     ratios_map: dict[tuple[str, str], float | None] = {}
     labels_present: list[str] = []

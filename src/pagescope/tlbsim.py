@@ -38,6 +38,8 @@ PAGE_512M = 512 * 1024 * 1024
 
 DEFAULT_ENTRIES = 48  # illustrative L1 DTLB stand-in, fully associative
 
+CHUNK = 1 << 16  # offsets mapped to page ids per step of the run collapse
+
 
 @dataclass(frozen=True)
 class TlbConfig:
@@ -97,10 +99,9 @@ def _runs(offsets: np.ndarray, shift: np.uint64) -> np.ndarray:
     size of the trace is built next to the offsets."""
     keep = np.empty(offsets.size, dtype=bool)
     keep[:1] = True
-    step = _kernels.CHUNK
-    for start in range(1, offsets.size, step):
-        pages = offsets[start - 1:start + step] >> shift
-        np.not_equal(pages[1:], pages[:-1], out=keep[start:start + step])
+    for start in range(1, offsets.size, CHUNK):
+        pages = offsets[start - 1:start + CHUNK] >> shift
+        np.not_equal(pages[1:], pages[:-1], out=keep[start:start + CHUNK])
     return (offsets[keep] >> shift).view(np.int64)
 
 

@@ -117,6 +117,22 @@ def test_render_formats(tmp_path, capsys):
     assert (tmp_path / "chart.svg.csv").read_text().startswith("measure,case,")
 
 
+@pytest.mark.parametrize("fmt,region", [("svg", "nope"), ("csv", "zone-sweep")],
+                         ids=["svg-unknown-region", "csv-with-region"])
+def test_render_unusable_region_is_one_line_error(tmp_path, capsys, fmt, region):
+    # svg: no report holds the region; csv: the flag only applies to charts.
+    main(_sim_run_args(tmp_path, label="render-me"))
+    report_path = next(tmp_path.glob("report-*.json"))
+    capsys.readouterr()
+    out_path = tmp_path / "chart"
+    assert main(["render", "--report", str(report_path), "--format", fmt,
+                 "--region", region, "--out", str(out_path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: ") and "zone-sweep" in err
+    assert not list(tmp_path.glob("chart*"))
+
+
 def test_thp_without_sysfs_is_capability_failure(tmp_path, capsys):
     if Path(THP_ENABLED_PATH).exists():
         pytest.skip("host exposes THP sysfs")
@@ -168,13 +184,19 @@ def _config_file(content):
     _config_file({"repetitions": True}),
     # --workload sum2d replaces the kind; the string argv is still rejected.
     _config_file({"workload": {"kind": "external", "layout": PLANE_8, "argv": "true"}}),
+    _config_file({"workload": {"kind": "external", "layout": PLANE_8, "argv": ["true"]}}),
+    ["--freq-hz", "nan"],
+    ["--freq-hz", "inf"],
+    _config_file({"cpu": {"freq_hz": "nan"}}),
 ], ids=["n-0", "passes-0", "repetitions-0", "short-layout", "missing-config",
         "config-not-object", "config-workload-not-object",
         "config-layout-incomplete", "config-increments-not-object",
         "config-cadence-negative", "config-label-not-string",
         "config-misspelled-keys", "config-workload-unknown-key",
         "config-cpu-unknown-key", "config-layout-float",
-        "config-repetitions-bool", "config-argv-not-list"])
+        "config-repetitions-bool", "config-argv-not-list",
+        "config-argv-with-builtin-kind", "freq-nan", "freq-inf",
+        "config-freq-nan"])
 def test_bad_run_flags_are_bad_configuration(tmp_path, capsys, flags):
     if callable(flags):
         flags = flags(tmp_path)

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from pagescope import _kernels
 from pagescope.blockmesh import AddressTrace, TraversalPattern, UnkLayout, gen_trace
 from pagescope.tlbsim import (
+    CHUNK,
     PAGE_2M,
     PAGE_4K,
     SweepRow,
@@ -235,7 +236,7 @@ def _raw_array():
 def _raw_array_over_chunks():
     # Runs of 3 equal pages straddle the chunk boundaries of the collapse.
     rng = np.random.RandomState(6)
-    pages = rng.randint(0, 30, size=_kernels.CHUNK).repeat(3)
+    pages = rng.randint(0, 30, size=CHUNK).repeat(3)
     return pages.astype(np.uint64) * np.uint64(PAGE_4K)
 
 
