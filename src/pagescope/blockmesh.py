@@ -190,8 +190,14 @@ def gen_trace(layout: UnkLayout, pattern: TraversalPattern,
     """Deterministic byte-address trace: `passes` repeats of one pattern pass."""
     if passes < 1:
         raise ValueError("passes must be >= 1")
-    single = _single_pass_elements(layout, pattern) * np.uint64(layout.elem_bytes)
-    offsets = np.tile(single, passes) if passes > 1 else single
+    try:
+        single = _single_pass_elements(layout, pattern) * np.uint64(layout.elem_bytes)
+        offsets = np.tile(single, passes) if passes > 1 else single
+    except MemoryError as exc:
+        runs = _single_pass_runs(layout, pattern)
+        accesses = passes * sum(count for _, count, _ in runs)
+        raise AllocationFailure(f"cannot allocate a trace of {accesses} accesses "
+                                f"({8 * accesses} bytes)") from exc
     return AddressTrace(offsets, layout.elem_bytes, layout, pattern, passes)
 
 

@@ -1,8 +1,9 @@
 """pagescope command line: run experiments, replay traces, inspect hosts.
 
 Exit codes: 0 success, 2 workload failure, 3 capability or input failure
-(a bad flag, or a missing or malformed config, trace, sidecar or report
-file). Only `main` turns an exception into an `error: ...` line and a code.
+(a bad flag, a missing or malformed config, trace, sidecar or report file,
+or a layout too large to allocate). Only `main` turns an exception into an
+`error: ...` line and a code.
 """
 
 from __future__ import annotations
@@ -93,7 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
     ren.add_argument("--format", default="table",
                      choices=["table", "csv", "svg"])
     ren.add_argument("--region", default=None,
-                     help="region to chart (svg only; default the first)")
+                     help="region to chart (svg only; default each "
+                          "report's own first region)")
     ren.add_argument("--out", default=None)
 
     thp = sub.add_parser("thp", help="show or set the THP mode")
@@ -244,7 +246,8 @@ def main(argv: list[str] | None = None) -> int:
         print("hint: pass --simulate-counters for a hardware-free run",
               file=sys.stderr)
         return EXIT_CAPABILITY
-    except (SystemWriteNotAllowed, OSError, ValueError) as exc:
+    except (blockmesh.AllocationFailure, SystemWriteNotAllowed, OSError,
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPABILITY
 

@@ -525,7 +525,11 @@ def render_ratio_chart(reports: list[dict],
     """SVG chart plus companion CSV for one region across several reports.
 
     Returns (svg_text, csv_text); the two carry identical ratio strings.
+    Without `region`, each report charts its own first region, so reports
+    of different workloads (say "EOS" and "3-d Hydro") sit side by side.
     A region that no report holds is a ValueError naming those it holds.
+    Bars are keyed by report label, so two reports that share a label are
+    a ValueError too.
     """
     if not reports:
         raise ValueError("need at least one report")
@@ -538,6 +542,9 @@ def render_ratio_chart(reports: list[dict],
     labels_present: list[str] = []
     for rep in reports:
         case = rep.get("label", "case")
+        if case in cases:
+            raise ValueError(f"two reports share the label {case!r}; give each "
+                             f"run its own with run --label")
         cases.append(case)
         regions = sorted(rep.get("ratios", {}))
         if not regions:

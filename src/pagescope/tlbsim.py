@@ -7,7 +7,7 @@ the distinct pages touched since the previous access to the same page.
 The two must agree exactly, which is what the acceptance suite checks
 across randomized traces.
 
-simulate() replays far fewer accesses than the trace holds, by two
+simulate() replays far fewer accesses than the trace holds, by three
 shortcuts that give exactly the full replay's result:
 
 - Run-length collapse. An access to the same page as the access just
@@ -21,6 +21,19 @@ shortcuts that give exactly the full replay's result:
   them, if fewer), ordered by last touch, and a pass that starts from that
   state ends in it again. Every pass after the first therefore misses
   m2 - m1 times, where m1 and m2 are the misses of one and two passes.
+- Reduction at a smaller page size. Page sizes are powers of two, so a
+  page at a larger size is a union of whole pages at any smaller size, and
+  two accesses that share a small page share the large one. A run of equal
+  page ids at the larger size is therefore a union of consecutive runs at
+  the smaller size, and starts where one of them starts. Collapsing the
+  run starts at the larger size gives the same runs, misses and distinct
+  pages as collapsing the full trace.
+
+reduce() does the trace-sized work once: it checks the period and keeps
+the offsets that start each run of one pass. simulate() replays a RunTrace
+at its own page size or any larger one, so page_size_sweep() reads the
+trace once, at its smallest size, and replays every size from the run
+starts.
 """
 
 from __future__ import annotations
@@ -41,6 +54,11 @@ DEFAULT_ENTRIES = 48  # illustrative L1 DTLB stand-in, fully associative
 CHUNK = 1 << 16  # offsets mapped to page ids per step of the run collapse
 
 
+def _check_page_size(p: int) -> None:
+    if p & (p - 1) or not PAGE_4K <= p <= PAGE_512M:
+        raise ValueError("page size must be a power of two in [4 KiB, 512 MiB]")
+
+
 @dataclass(frozen=True)
 class TlbConfig:
     entries: int = DEFAULT_ENTRIES
@@ -53,9 +71,7 @@ class TlbConfig:
         ways = self.ways
         if ways < 1 or self.entries % ways:
             raise ValueError("associativity must divide entries")
-        p = self.page_size_bytes
-        if p & (p - 1) or not PAGE_4K <= p <= PAGE_512M:
-            raise ValueError("page size must be a power of two in [4 KiB, 512 MiB]")
+        _check_page_size(self.page_size_bytes)
 
     @property
     def ways(self) -> int:
@@ -92,17 +108,32 @@ def _page_ids(trace, page_size_bytes: int) -> np.ndarray:
     return (_offsets(trace) >> _shift(page_size_bytes)).view(np.int64)
 
 
-def _runs(offsets: np.ndarray, shift: np.uint64) -> np.ndarray:
-    """Page id of the first access of each run of equal consecutive page ids.
+@dataclass(frozen=True)
+class RunTrace:
+    """A trace reduced at one page size: the byte offsets that start each
+    run of equal page ids in one pass, which `passes` passes repeat."""
+    accesses: int
+    starts: np.ndarray  # uint64 byte offsets, in access order
+    passes: int
+    page_size_bytes: int
 
-    Offsets are mapped to page ids chunk by chunk, so no page-id array the
-    size of the trace is built next to the offsets."""
-    keep = np.empty(offsets.size, dtype=bool)
-    keep[:1] = True
+
+def _run_starts(offsets: np.ndarray, shift: np.uint64) -> np.ndarray:
+    """Offset of the first access of each run of equal consecutive page ids.
+
+    Offsets are mapped to page ids one chunk at a time into reused buffers,
+    so no page-id array the size of the trace is built next to them."""
+    n = min(CHUNK, offsets.size)
+    pages = np.empty(n + 1, dtype=np.uint64)
+    new = np.empty(n, dtype=bool)
+    parts = [offsets[:1]]
     for start in range(1, offsets.size, CHUNK):
-        pages = offsets[start - 1:start + CHUNK] >> shift
-        np.not_equal(pages[1:], pages[:-1], out=keep[start:start + CHUNK])
-    return (offsets[keep] >> shift).view(np.int64)
+        chunk = offsets[start - 1:start + CHUNK]
+        n = chunk.size - 1
+        np.right_shift(chunk, shift, out=pages[:n + 1])
+        np.not_equal(pages[1:n + 1], pages[:n], out=new[:n])
+        parts.append(chunk[1:][new[:n]])
+    return np.concatenate(parts)
 
 
 def _periodic_pass(offsets: np.ndarray, passes: int) -> np.ndarray | None:
@@ -113,29 +144,50 @@ def _periodic_pass(offsets: np.ndarray, passes: int) -> np.ndarray | None:
     return rows[0] if (rows == rows[0]).all() else None
 
 
+def reduce(trace, page_size_bytes: int) -> RunTrace:
+    """The run starts of one pass at `page_size_bytes`, read from the trace
+    once. A trace with `passes` > 1 whose data repeats with that period
+    keeps its passes; any other trace is one pass."""
+    _check_page_size(page_size_bytes)
+    offsets = _offsets(trace)
+    passes = getattr(trace, "passes", 1)
+    one_pass = _periodic_pass(offsets, passes)
+    if one_pass is None:
+        one_pass, passes = offsets, 1
+    return RunTrace(int(offsets.size), _run_starts(one_pass, _shift(page_size_bytes)),
+                    passes, page_size_bytes)
+
+
+def _distinct(pages: np.ndarray) -> int:
+    ordered = np.sort(pages)
+    return int(ordered.size and 1 + np.count_nonzero(ordered[1:] != ordered[:-1]))
+
+
 def simulate(config: TlbConfig, trace) -> TlbStats:
     """Replay a trace: page id = offset / page size, LRU within each set,
     miss on absence with eviction of the set's least recently used entry.
 
-    A trace with `passes` > 1 whose data repeats with that period is folded
-    (see the module docstring); any other trace replays in full. Either way
-    only the first access of each same-page run reaches the LRU kernel."""
-    offsets = _offsets(trace)
-    if offsets.size == 0:
+    `trace` is a trace, reduced here at the config's page size, or a
+    RunTrace reduced at that size or a smaller one. Only the first access
+    of each same-page run of one pass reaches the LRU kernel, and of two
+    passes when the trace has more (see the module docstring)."""
+    runs = (trace if isinstance(trace, RunTrace)
+            else reduce(trace, config.page_size_bytes))
+    if runs.page_size_bytes > config.page_size_bytes:
+        raise ValueError(f"a trace reduced at {runs.page_size_bytes}-byte pages "
+                         f"cannot replay at {config.page_size_bytes}")
+    if runs.accesses == 0:
         return TlbStats(0, 0, 0)
     shift = _shift(config.page_size_bytes)
-    passes = getattr(trace, "passes", 1)
-    one_pass = _periodic_pass(offsets, passes)
-    if one_pass is None:
-        runs = _runs(offsets, shift)
-        misses = _kernels.lru_misses(runs, config.sets, config.ways)
-    else:
-        runs = _runs(one_pass, shift)
-        m1 = _kernels.lru_misses(runs, config.sets, config.ways)
-        m2 = _kernels.lru_misses(_runs(offsets[:2 * one_pass.size], shift),
-                                 config.sets, config.ways)
-        misses = m1 + (passes - 1) * (m2 - m1)
-    return TlbStats(int(offsets.size), int(misses), int(np.unique(runs).size))
+    pages = (_run_starts(runs.starts, shift) >> shift).view(np.int64)
+    misses = _kernels.lru_misses(pages, config.sets, config.ways)
+    if runs.passes > 1:
+        # The second pass's first run continues the first's last one if
+        # they share a page.
+        two = np.concatenate((pages, pages[int(pages[0] == pages[-1]):]))
+        m2 = _kernels.lru_misses(two, config.sets, config.ways)
+        misses += (runs.passes - 1) * (m2 - misses)
+    return TlbStats(runs.accesses, int(misses), _distinct(pages))
 
 
 def stack_distance_oracle(entries: int, trace, page_size_bytes: int) -> TlbStats:
@@ -177,15 +229,17 @@ class SweepRow:
 def page_size_sweep(trace, config: TlbConfig,
                     sizes: list[int]) -> list[SweepRow]:
     """Simulate the trace at each page size and report miss ratios versus
-    the smallest size (0/0 counts as 1)."""
+    the smallest size (0/0 counts as 1). The trace is reduced once, at the
+    smallest size, and every size replays its run starts."""
     if not sizes:
         raise ValueError("need at least one page size")
     if sizes != sorted(sizes):
         raise ValueError("sizes must be ascending")
+    runs = reduce(trace, sizes[0])
     rows = []
     base_misses: int | None = None
     for size in sizes:
-        stats = simulate(replace(config, page_size_bytes=size), trace)
+        stats = simulate(replace(config, page_size_bytes=size), runs)
         if base_misses is None:
             base_misses = stats.misses
         if base_misses > 0:

@@ -237,6 +237,13 @@ def test_allocation_failure_is_reported():
                    alloc="demand")
 
 
+def test_unallocatable_trace_is_an_allocation_failure():
+    # 2e15 accesses: more bytes than the 128 TiB user address space.
+    impossible = UnkLayout.simple(5, 16, 16, 16, 100_000_000_000)
+    with pytest.raises(AllocationFailure):
+        gen_trace(impossible, TraversalPattern.ZoneSweep)
+
+
 def test_trace_save_load_round_trip(tmp_path):
     trace = gen_trace(LAYOUT, TraversalPattern.BlockSweep, passes=2)
     path = tmp_path / "block.trace"

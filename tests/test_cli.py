@@ -133,6 +133,39 @@ def test_render_unusable_region_is_one_line_error(tmp_path, capsys, fmt, region)
     assert not list(tmp_path.glob("chart*"))
 
 
+def test_render_reports_sharing_a_label_is_one_line_error(tmp_path, capsys):
+    # Bars are keyed by label: the second report would draw both bars.
+    paths = []
+    for name in ("a", "b"):
+        main(_sim_run_args(tmp_path / name, label="experiment"))
+        paths += ["--report", str(next((tmp_path / name).glob("report-*.json")))]
+    capsys.readouterr()
+    out_path = tmp_path / "chart.svg"
+    assert main(["render", *paths, "--format", "svg",
+                 "--out", str(out_path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: ") and "'experiment'" in err and "--label" in err
+    assert not list(tmp_path.glob("chart*"))
+
+
+# Over 16 PB of doubles: beyond the 128 TiB user address space of any host.
+UNALLOCATABLE_LAYOUT = "5,16,16,16,100000000000"
+
+
+@pytest.mark.parametrize("argv", [
+    ["trace", "--layout", UNALLOCATABLE_LAYOUT, "--pattern", "zone"],
+    ["run", "--simulate-counters", "--workload", "zone-sweep",
+     "--layout", UNALLOCATABLE_LAYOUT],
+], ids=["trace", "run"])
+def test_unallocatable_layout_is_one_line_error(tmp_path, capsys, argv):
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: cannot allocate") and err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
+
+
 def test_thp_without_sysfs_is_capability_failure(tmp_path, capsys):
     if Path(THP_ENABLED_PATH).exists():
         pytest.skip("host exposes THP sysfs")

@@ -1,18 +1,24 @@
+from dataclasses import replace
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pagescope import _kernels
+from pagescope import _kernels, tlbsim
 from pagescope.blockmesh import AddressTrace, TraversalPattern, UnkLayout, gen_trace
 from pagescope.tlbsim import (
     CHUNK,
     PAGE_2M,
     PAGE_4K,
+    PAGE_512M,
+    RunTrace,
     SweepRow,
     TlbConfig,
     TlbStats,
     page_size_sweep,
     parse_size,
+    reduce,
     simulate,
     stack_distance_oracle,
     sweep_csv,
@@ -291,3 +297,83 @@ def test_zone_trace_replays_one_access_per_page_run(replayed):
     assert stats == TlbStats(trace.accesses, 4000, 4000)
     # The collapse keeps one flag per access, not a page id per access.
     assert peak < trace.offsets.nbytes // 4
+
+
+# Addresses below 2 GiB, so that even 512 MiB pages tell some apart.
+address_pools = st.lists(st.integers(0, 2 ** 31 - 1), min_size=1, max_size=24)
+pool_runs = st.lists(st.tuples(st.integers(0, 23), st.integers(1, 4)),
+                     min_size=1, max_size=40)
+ascending_sizes = st.sets(st.integers(12, 29), min_size=1, max_size=4).map(
+    lambda shifts: [1 << k for k in sorted(shifts)])
+
+
+@given(address_pools, pool_runs, st.integers(1, 4),
+       st.sampled_from(["verified", "false", "raw"]), st.integers(1, 8),
+       ascending_sizes, st.sampled_from([1, 2, 4]), st.integers(1, 4))
+@settings(max_examples=100, deadline=None)
+def test_sweep_equals_full_replay_at_every_size(pool, runs, passes, claim, chunk,
+                                               sizes, sets, ways):
+    one_pass = [pool[i % len(pool)] for i, n in runs for _ in range(n)]
+    offsets = np.tile(np.array(one_pass, dtype=np.uint64), passes)
+    if claim == "false":
+        # A new page at every size in the last access: the period is a lie.
+        offsets[-1] ^= np.uint64(1 << 31)
+    trace = (offsets if claim == "raw"
+             else AddressTrace(offsets, 8, None, None, passes))
+    config = TlbConfig(entries=sets * ways, associativity=ways)
+    # A chunk of a few accesses puts many runs across chunk boundaries of
+    # the collapse while the trace stays small enough to replay in full.
+    with mock.patch.object(tlbsim, "CHUNK", chunk):
+        rows = page_size_sweep(trace, config, sizes)
+    assert [r.page_size_bytes for r in rows] == sizes
+    for row in rows:
+        full = _full_replay(replace(config, page_size_bytes=row.page_size_bytes),
+                            trace)
+        assert row.stats == full
+
+
+class _CountingTrace:
+    """A trace that counts how often its offsets are read."""
+
+    def __init__(self, trace):
+        self._trace = trace
+        self.passes = trace.passes
+        self.reads = 0
+
+    @property
+    def offsets(self):
+        self.reads += 1
+        return self._trace.offsets
+
+
+def test_sweep_reads_the_trace_once():
+    trace = _CountingTrace(BLOCK_TRACE)
+    rows = page_size_sweep(trace, TlbConfig(entries=16),
+                           [PAGE_4K, PAGE_2M, PAGE_512M])
+    assert trace.reads == 1
+    assert [r.stats for r in rows] == [
+        simulate(TlbConfig(entries=16, page_size_bytes=size), BLOCK_TRACE)
+        for size in (PAGE_4K, PAGE_2M, PAGE_512M)]
+
+
+def test_reduce_keeps_a_verified_period_only():
+    assert reduce(BLOCK_TRACE, PAGE_4K).passes == 2
+    assert reduce(BLOCK_TRACE.offsets, PAGE_4K).passes == 1
+    false_claim = _claims_two_passes_but_halves_differ()
+    assert reduce(false_claim, PAGE_4K).passes == 1
+    runs = reduce(BLOCK_TRACE, PAGE_4K)
+    assert isinstance(runs, RunTrace) and runs.accesses == 20
+    assert runs.starts.size == 10  # one start per block of one pass
+
+
+def test_simulate_rejects_a_trace_reduced_at_a_larger_page():
+    runs = reduce(BLOCK_TRACE, PAGE_2M)
+    with pytest.raises(ValueError):
+        simulate(TlbConfig(entries=16, page_size_bytes=PAGE_4K), runs)
+    assert simulate(TlbConfig(entries=16, page_size_bytes=PAGE_2M), runs) == \
+        simulate(TlbConfig(entries=16, page_size_bytes=PAGE_2M), BLOCK_TRACE)
+
+
+def test_reduce_rejects_a_bad_page_size():
+    with pytest.raises(ValueError):
+        reduce(BLOCK_TRACE, 3000)
