@@ -9,16 +9,30 @@ address math and describes each traversal pattern once, as strided 1-D
 runs of elements. Those runs become both the byte-address traces the
 simulator replays and the array views a real allocate/fill/sum workload
 walks.
+
+A trace is a source of chunks, not an array. `AddressTrace.chunks` yields
+its byte offsets in access order, at most `CHUNK` at a time, from one
+reused buffer: a generated trace fills it from the runs of one pass and
+keeps `passes` as a count, a loaded trace reads its file into it, and an
+in-memory array is sliced. Writing, loading and replaying a trace
+therefore hold a few chunk buffers, never the whole trace, however many
+accesses it has; only the replay's period check keeps one pass as well.
 """
 
 from __future__ import annotations
 
+import bisect
 import enum
+import itertools
 import json
+import os
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
+
+
+CHUNK = 1 << 15  # offsets per chunk of a streamed trace (256 KiB)
 
 
 class IndexOutOfBounds(IndexError):
@@ -115,14 +129,24 @@ class TraversalPattern(enum.Enum):
 
 
 @dataclass(frozen=True)
+class TraceFile:
+    """A trace file of `accesses` u64 little-endian offsets, as loaded."""
+
+    path: Path
+    accesses: int
+
+
+@dataclass(frozen=True)
 class AddressTrace:
     """Byte offsets relative to the array base, in access order.
 
-    layout/pattern/passes describe how the trace was generated; they are
-    None for raw streams loaded without a sidecar.
+    `source` holds them: an array of every offset, a TraceFile, or the
+    byte runs (first offset, count, byte stride) of one pass, which
+    `passes` repeats. layout/pattern/passes describe how the trace was
+    generated; they are None for raw streams loaded without a sidecar.
     """
 
-    offsets: np.ndarray  # uint64 byte offsets
+    source: np.ndarray | TraceFile | tuple[tuple[int, int, int], ...]
     elem_bytes: int
     layout: UnkLayout | None
     pattern: TraversalPattern | None
@@ -130,7 +154,113 @@ class AddressTrace:
 
     @property
     def accesses(self) -> int:
-        return int(self.offsets.shape[0])
+        if isinstance(self.source, np.ndarray):
+            return int(self.source.shape[0])
+        if isinstance(self.source, TraceFile):
+            return self.source.accesses
+        return self.passes * sum(count for _, count, _ in self.source)
+
+    def chunks(self, size: int):
+        """The offsets in access order, as uint64 arrays of at most `size`.
+
+        A chunk holds whole passes when a pass fits in `size` and a piece
+        of one pass otherwise; it never straddles a pass boundary (a
+        claimed `passes` that does not divide the trace makes it one
+        pass). A chunk is valid only until the next one is requested.
+        """
+        accesses = self.accesses
+        if not accesses:
+            return iter(())
+        pass_len = (accesses // self.passes if accesses % self.passes == 0
+                    else accesses)
+        bounds = _chunk_bounds(accesses, pass_len, size)
+        if isinstance(self.source, np.ndarray):
+            offsets = np.asarray(self.source, dtype=np.uint64)
+            return (offsets[a:b] for a, b in bounds)
+        if isinstance(self.source, TraceFile):
+            return _file_chunks(self.source, bounds)
+        return _run_chunks(self.source, pass_len, bounds, size)
+
+    @property
+    def offsets(self) -> np.ndarray:
+        """Every offset in one array: as large as the trace itself."""
+        try:
+            out = np.empty(self.accesses, dtype=np.uint64)
+        except MemoryError as exc:
+            raise AllocationFailure(f"cannot allocate a trace of {self.accesses} "
+                                    f"accesses ({8 * self.accesses} bytes)") from exc
+        done = 0
+        for chunk in self.chunks(CHUNK):
+            out[done:done + chunk.size] = chunk
+            done += chunk.size
+        return out
+
+
+def _chunk_bounds(accesses: int, pass_len: int, size: int):
+    """(start, stop) of each chunk: as many whole passes as fit in `size`,
+    or pieces of `size` of one pass when a pass does not fit."""
+    if pass_len <= size:
+        step = size // pass_len * pass_len
+        return ((a, min(a + step, accesses)) for a in range(0, accesses, step))
+    return ((p + a, p + min(a + size, pass_len))
+            for p in range(0, accesses, pass_len) for a in range(0, pass_len, size))
+
+
+def _double(buf: np.ndarray, unit: int, step: int) -> None:
+    """Extend buf[:unit] over all of buf, each unit `step` above the one
+    before it, by doubling the filled prefix: no temporary array."""
+    n = unit
+    while n < buf.size:
+        m = min(n, buf.size - n)
+        np.add(buf[:m], np.uint64(n // unit * step), out=buf[n:n + m])
+        n += m
+
+
+def _run_chunks(runs, pass_len: int, bounds, size: int):
+    """Chunks of passes of byte runs. A chunk of whole passes is filled
+    once and yielded for every chunk after it, which is the same passes."""
+    run_starts = list(itertools.accumulate((count for _, count, _ in runs), initial=0))
+    for a, b in bounds:
+        if a == 0:  # the first chunk is the largest
+            buf = np.empty(b, dtype=np.uint64)
+        chunk = buf[:b - a]
+        if pass_len > size or a == 0:
+            pos = a % pass_len
+            piece = chunk[:pass_len]
+            done = 0
+            r = bisect.bisect_right(run_starts, pos) - 1
+            while done < piece.size:
+                first, count, step = runs[r]
+                skip = pos + done - run_starts[r]
+                take = min(count - skip, piece.size - done)
+                piece[done] = first + skip * step
+                _double(piece[done:done + take], 1, step)
+                done += take
+                r += 1
+            _double(chunk, pass_len, 0)  # k whole passes: repeat the first
+        yield chunk
+
+
+def _file_chunks(trace_file: TraceFile, bounds):
+    """Chunks read from a trace file into one buffer. A file that no longer
+    holds the offsets it held when it was loaded is a ValueError naming it."""
+    path = trace_file.path
+    with open(path, "rb", buffering=0) as f:
+        now = os.fstat(f.fileno()).st_size
+        if now != 8 * trace_file.accesses:
+            raise ValueError(f"{path}: trace file changed since it was loaded "
+                             f"({now} bytes, was {8 * trace_file.accesses})")
+        for a, b in bounds:
+            if a == 0:  # the first chunk is the largest
+                buf = np.empty(b, dtype="<u8")
+            view = memoryview(buf[:b - a]).cast("B")
+            got = 0
+            while got < len(view):
+                n = f.readinto(view[got:])
+                if not n:
+                    raise ValueError(f"{path}: trace file shrank while it was read")
+                got += n
+            yield buf[:b - a]
 
 
 def address_of(layout: UnkLayout, v: int, i: int, j: int, k: int, b: int) -> int:
@@ -187,18 +317,14 @@ def _run_views(arr: np.ndarray, runs: list[tuple[int, int, int]]) -> list[np.nda
 
 def gen_trace(layout: UnkLayout, pattern: TraversalPattern,
               passes: int = 1) -> AddressTrace:
-    """Deterministic byte-address trace: `passes` repeats of one pattern pass."""
+    """Deterministic byte-address trace: `passes` repeats of one pattern
+    pass, kept as the pass's byte runs and a count; nothing is allocated."""
     if passes < 1:
         raise ValueError("passes must be >= 1")
-    try:
-        single = _single_pass_elements(layout, pattern) * np.uint64(layout.elem_bytes)
-        offsets = np.tile(single, passes) if passes > 1 else single
-    except MemoryError as exc:
-        runs = _single_pass_runs(layout, pattern)
-        accesses = passes * sum(count for _, count, _ in runs)
-        raise AllocationFailure(f"cannot allocate a trace of {accesses} accesses "
-                                f"({8 * accesses} bytes)") from exc
-    return AddressTrace(offsets, layout.elem_bytes, layout, pattern, passes)
+    eb = layout.elem_bytes
+    runs = tuple((start * eb, count, stride * eb)
+                 for start, count, stride in _single_pass_runs(layout, pattern))
+    return AddressTrace(runs, eb, layout, pattern, passes)
 
 
 def run_kernel(layout: UnkLayout, pattern: TraversalPattern, passes: int,
@@ -216,13 +342,20 @@ def run_kernel(layout: UnkLayout, pattern: TraversalPattern, passes: int,
     """
     if alloc not in ("eager", "demand"):
         raise ValueError(f"alloc must be eager or demand, got {alloc!r}")
+    nbytes = 8 * layout.elements
+    # An overcommitting kernel can grant an array larger than the host's
+    # memory, then swap or kill the process when the fill touches it.
+    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if nbytes > physical:
+        raise AllocationFailure(f"cannot allocate {nbytes} bytes: more than the "
+                                f"{physical} bytes of physical memory")
     try:
         if alloc == "eager":
             arr = np.full(layout.elements, fill, dtype=np.float64)
         else:
             arr = np.empty(layout.elements, dtype=np.float64)
     except MemoryError as exc:
-        raise AllocationFailure(f"cannot allocate {layout.total_bytes} bytes") from exc
+        raise AllocationFailure(f"cannot allocate {nbytes} bytes") from exc
 
     views = _run_views(arr, _single_pass_runs(layout, pattern))
     checksum = 0.0
@@ -243,10 +376,18 @@ def sidecar_path(path: str | Path) -> Path:
 
 
 def save_trace(trace: AddressTrace, path: str | Path) -> None:
+    """Write the trace as u64 little-endian offsets, one chunk at a time,
+    and its sidecar. A trace larger than the free space at `path` is an
+    AllocationFailure before the first byte. Both files are written under
+    temporary names and replace any existing ones only once complete, so a
+    failed save leaves no partial trace."""
     path = Path(path)
-    # The array's own buffer when it already is contiguous little-endian u64:
-    # no copy of a trace that can run to tens of megabytes.
-    path.write_bytes(memoryview(np.ascontiguousarray(trace.offsets, dtype="<u8")))
+    nbytes = 8 * trace.accesses
+    fs = os.statvfs(path.parent)
+    free = fs.f_bavail * fs.f_frsize
+    if nbytes > free:
+        raise AllocationFailure(f"cannot allocate {nbytes} bytes for {path}: "
+                                f"{free} bytes free on its filesystem")
     meta = {
         "layout": trace.layout.to_dict() if trace.layout else None,
         "pattern": trace.pattern.value if trace.pattern else None,
@@ -254,42 +395,54 @@ def save_trace(trace: AddressTrace, path: str | Path) -> None:
         "elem_bytes": trace.elem_bytes,
         "accesses": trace.accesses,
     }
-    sidecar_path(path).write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    tmp_side = sidecar_path(tmp)
+    try:
+        with open(tmp, "wb") as f:
+            for chunk in trace.chunks(CHUNK):
+                f.write(chunk.astype("<u8", copy=False))
+        tmp_side.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+        os.replace(tmp, path)
+        os.replace(tmp_side, sidecar_path(path))
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        tmp_side.unlink(missing_ok=True)
+        raise
 
 
-def _positive_int(meta: dict, key: str) -> int:
+def _int_at_least(meta: dict, key: str, least: int) -> int:
     value = meta[key]
-    if type(value) is not int or value < 1:
-        raise ValueError(f"{key} {value!r} is not a positive integer")
+    if type(value) is not int or value < least:
+        raise ValueError(f"{key} {value!r} is not an integer >= {least}")
     return value
 
 
 def load_trace(path: str | Path) -> AddressTrace:
-    """Read a trace file and its sidecar, if any; ValueError naming the file
-    if the sidecar is malformed or disagrees with the data, or the file is
-    not a whole number of u64 offsets."""
+    """Check a trace file and read its sidecar, if any; ValueError naming
+    the file if the sidecar is malformed or disagrees with the data, or the
+    file is not a whole number of u64 offsets. The offsets themselves are
+    read when the trace's chunks are."""
     path = Path(path)
-    data = path.read_bytes()
-    if len(data) % 8:
-        raise ValueError(f"{path}: {len(data)} bytes is not a whole number "
+    size = path.stat().st_size
+    if size % 8:
+        raise ValueError(f"{path}: {size} bytes is not a whole number "
                          f"of 8-byte offsets")
-    # A read-only view of the file bytes: nothing writes a trace's offsets.
-    offsets = np.frombuffer(data, dtype="<u8")
+    source = TraceFile(path, size // 8)
     side = sidecar_path(path)
     if not side.exists():
         # Raw stream without a sidecar: offsets only, double-width elements.
-        return AddressTrace(offsets, 8, None, None, 1)
+        return AddressTrace(source, 8, None, None, 1)
     try:
         meta = json.loads(side.read_text())
         if not isinstance(meta, dict):
             raise ValueError("not a JSON object")
         layout = UnkLayout.from_dict(meta["layout"]) if meta["layout"] else None
         pattern = TraversalPattern(meta["pattern"]) if meta["pattern"] else None
-        elem_bytes = _positive_int(meta, "elem_bytes")
-        passes = _positive_int(meta, "passes")
-        if meta["accesses"] != offsets.shape[0]:
+        elem_bytes = _int_at_least(meta, "elem_bytes", 1)
+        passes = _int_at_least(meta, "passes", 1)
+        if _int_at_least(meta, "accesses", 0) != source.accesses:
             raise ValueError(f"sidecar says {meta['accesses']} accesses, "
-                             f"trace holds {offsets.shape[0]}")
+                             f"trace holds {source.accesses}")
         if layout and elem_bytes != layout.elem_bytes:
             raise ValueError(f"elem_bytes {elem_bytes} disagrees with the "
                              f"layout's {layout.elem_bytes}")
@@ -297,4 +450,4 @@ def load_trace(path: str | Path) -> AddressTrace:
         raise ValueError(f"{side}: sidecar has no key {exc}") from None
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{side}: {exc}") from None
-    return AddressTrace(offsets, elem_bytes, layout, pattern, passes)
+    return AddressTrace(source, elem_bytes, layout, pattern, passes)

@@ -34,6 +34,13 @@ the offsets that start each run of one pass. simulate() replays a RunTrace
 at its own page size or any larger one, so page_size_sweep() reads the
 trace once, at its smallest size, and replays every size from the run
 starts.
+
+reduce() reads the trace as a stream of chunks (blockmesh.AddressTrace
+.chunks), in one scan: it collapses the first pass's runs, carrying the
+last page id across chunk boundaries, and compares every later pass with
+the first. Its memory is a few CHUNK-sized buffers, the first pass when
+`passes` > 1, and the run starts it returns; never the whole trace. A
+claimed period that fails is read a second time, as one unverified pass.
 """
 
 from __future__ import annotations
@@ -44,14 +51,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _kernels
+from .blockmesh import CHUNK, AddressTrace
 
 PAGE_4K = 4 * 1024
 PAGE_2M = 2 * 1024 * 1024
 PAGE_512M = 512 * 1024 * 1024
 
 DEFAULT_ENTRIES = 48  # illustrative L1 DTLB stand-in, fully associative
-
-CHUNK = 1 << 16  # offsets mapped to page ids per step of the run collapse
 
 
 def _check_page_size(p: int) -> None:
@@ -118,44 +124,66 @@ class RunTrace:
     page_size_bytes: int
 
 
-def _run_starts(offsets: np.ndarray, shift: np.uint64) -> np.ndarray:
-    """Offset of the first access of each run of equal consecutive page ids.
+def _source(trace) -> AddressTrace:
+    """The trace as a chunk source; an array, or anything else with
+    `offsets`, is sliced in memory."""
+    if isinstance(trace, AddressTrace):
+        return trace
+    return AddressTrace(_offsets(trace), 8, None, None, getattr(trace, "passes", 1))
 
-    Offsets are mapped to page ids one chunk at a time into reused buffers,
-    so no page-id array the size of the trace is built next to them."""
-    n = min(CHUNK, offsets.size)
+
+def _scan(source: AddressTrace, shift: np.uint64, passes: int) -> np.ndarray | None:
+    """Read the trace once. Return the offset that starts each run of equal
+    consecutive page ids in its first pass of accesses / `passes`, or None
+    as soon as a later access differs from the one a pass before it.
+
+    Page ids go into one reused buffer whose slot 0 carries the previous
+    chunk's last page. A chunk never straddles a pass boundary, so it is
+    the first pass or a piece of it, possibly followed by whole passes, or
+    a piece or whole passes of a later pass."""
+    pass_len = source.accesses // passes
+    first = np.empty(pass_len if passes > 1 else 0, dtype=np.uint64)
+    n = min(CHUNK, pass_len)
     pages = np.empty(n + 1, dtype=np.uint64)
     new = np.empty(n, dtype=bool)
-    parts = [offsets[:1]]
-    for start in range(1, offsets.size, CHUNK):
-        chunk = offsets[start - 1:start + CHUNK]
-        n = chunk.size - 1
-        np.right_shift(chunk, shift, out=pages[:n + 1])
-        np.not_equal(pages[1:n + 1], pages[:n], out=new[:n])
-        parts.append(chunk[1:][new[:n]])
+    parts = [first[:0]]
+    done = 0
+    for chunk in source.chunks(CHUNK):
+        head = chunk[:max(pass_len - done, 0)]
+        if head.size:
+            n = head.size
+            np.right_shift(head, shift, out=pages[1:n + 1])
+            np.not_equal(pages[1:n + 1], pages[:n], out=new[:n])
+            new[0] |= done == 0
+            parts.append(head[new[:n]])
+            pages[0] = pages[n]
+            if first.size:
+                first[done:done + n] = head
+        rest = chunk[head.size:]
+        if rest.size:
+            at = (done + head.size) % pass_len
+            same = (np.array_equal(rest, first[at:at + rest.size])
+                    if at + rest.size <= pass_len
+                    else (rest.reshape(-1, pass_len) == first).all())
+            if not same:
+                return None
+        done += chunk.size
     return np.concatenate(parts)
-
-
-def _periodic_pass(offsets: np.ndarray, passes: int) -> np.ndarray | None:
-    """One pass of `offsets` if it is exactly `passes` repeats of it, else None."""
-    if passes < 2 or offsets.size % passes:
-        return None
-    rows = offsets.reshape(passes, -1)
-    return rows[0] if (rows == rows[0]).all() else None
 
 
 def reduce(trace, page_size_bytes: int) -> RunTrace:
     """The run starts of one pass at `page_size_bytes`, read from the trace
-    once. A trace with `passes` > 1 whose data repeats with that period
-    keeps its passes; any other trace is one pass."""
+    in one scan. A trace with `passes` > 1 whose data repeats with that
+    period keeps its passes; any other trace is one pass, which a false
+    claim pays for with a second scan."""
     _check_page_size(page_size_bytes)
-    offsets = _offsets(trace)
-    passes = getattr(trace, "passes", 1)
-    one_pass = _periodic_pass(offsets, passes)
-    if one_pass is None:
-        one_pass, passes = offsets, 1
-    return RunTrace(int(offsets.size), _run_starts(one_pass, _shift(page_size_bytes)),
-                    passes, page_size_bytes)
+    source = _source(trace)
+    shift = _shift(page_size_bytes)
+    passes = source.passes if source.accesses % source.passes == 0 else 1
+    starts = _scan(source, shift, passes)
+    if starts is None:
+        passes, starts = 1, _scan(source, shift, 1)
+    return RunTrace(source.accesses, starts, passes, page_size_bytes)
 
 
 def _distinct(pages: np.ndarray) -> int:
@@ -179,7 +207,7 @@ def simulate(config: TlbConfig, trace) -> TlbStats:
     if runs.accesses == 0:
         return TlbStats(0, 0, 0)
     shift = _shift(config.page_size_bytes)
-    pages = (_run_starts(runs.starts, shift) >> shift).view(np.int64)
+    pages = (_scan(_source(runs.starts), shift, 1) >> shift).view(np.int64)
     misses = _kernels.lru_misses(pages, config.sets, config.ways)
     if runs.passes > 1:
         # The second pass's first run continues the first's last one if

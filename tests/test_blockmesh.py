@@ -1,10 +1,12 @@
 import itertools
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pagescope.blockmesh import (
+    AddressTrace,
     AllocationFailure,
     IndexOutOfBounds,
     TraversalPattern,
@@ -237,11 +239,32 @@ def test_allocation_failure_is_reported():
                    alloc="demand")
 
 
-def test_unallocatable_trace_is_an_allocation_failure():
-    # 2e15 accesses: more bytes than the 128 TiB user address space.
+def test_run_kernel_refuses_more_than_physical_memory(monkeypatch):
+    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    plane = 1024 * 1024 * 8
+    lay = UnkLayout.simple(1, 1024, 1024, 1, 2 * physical // plane + 1)
+    assert lay.total_bytes > 2 * physical
+
+    def never(*args, **kwargs):
+        raise AssertionError("numpy was asked to allocate")
+
+    monkeypatch.setattr(np, "empty", never)
+    monkeypatch.setattr(np, "full", never)
+    for alloc in ("eager", "demand"):
+        with pytest.raises(AllocationFailure, match=f"cannot allocate {lay.total_bytes} bytes"):
+            run_kernel(lay, TraversalPattern.BlockSweep, 1, 1.0, alloc=alloc)
+
+
+def test_unallocatable_trace_is_an_allocation_failure(tmp_path):
+    # 2e15 accesses: more bytes than the 128 TiB user address space. The
+    # trace itself allocates nothing; its offsets array and its file fail.
     impossible = UnkLayout.simple(5, 16, 16, 16, 100_000_000_000)
+    trace = gen_trace(impossible, TraversalPattern.ZoneSweep)
     with pytest.raises(AllocationFailure):
-        gen_trace(impossible, TraversalPattern.ZoneSweep)
+        trace.offsets
+    with pytest.raises(AllocationFailure, match="cannot allocate"):
+        save_trace(trace, tmp_path / "huge.trace")
+    assert not list(tmp_path.iterdir())
 
 
 def test_trace_save_load_round_trip(tmp_path):
@@ -290,3 +313,48 @@ def test_element_indices():
     assert elements.tolist() == [0, 128, 256]
     offsets = gen_trace(SMALL, TraversalPattern.BlockSweep).offsets
     assert offsets.tolist() == (elements * SMALL.elem_bytes).tolist()
+
+
+def _source_kinds(trace, tmp_path):
+    """The same trace from each kind of chunk source."""
+    path = tmp_path / "t.trace"
+    save_trace(trace, path)
+    array = AddressTrace(trace.offsets, trace.elem_bytes, None, None, trace.passes)
+    return {"generated": trace, "file": load_trace(path), "array": array}
+
+
+@pytest.mark.parametrize("pattern", list(TraversalPattern))
+def test_chunks_concatenate_to_the_offsets_within_passes(tmp_path, pattern):
+    passes = 3
+    trace = gen_trace(SMALL, pattern, passes=passes)
+    pass_len = trace.accesses // passes
+    expected = np.tile(_single_pass_elements(SMALL, pattern) * np.uint64(8), passes)
+    for kind, source in _source_kinds(trace, tmp_path).items():
+        assert source.offsets.tolist() == expected.tolist(), kind
+        # A pass longer than, as long as and shorter than a chunk.
+        for size in (max(1, pass_len // 3), pass_len, 2 * pass_len + 1):
+            done, seen = 0, []
+            for chunk in source.chunks(size):
+                n = chunk.size
+                assert 0 < n <= size
+                whole_passes = done % pass_len == 0 and n % pass_len == 0
+                assert whole_passes or done // pass_len == (done + n - 1) // pass_len
+                seen.extend(chunk.tolist())  # a chunk is valid until the next
+                done += n
+            assert seen == expected.tolist(), (kind, size)
+
+
+def test_failed_save_keeps_the_existing_trace(tmp_path):
+    src = tmp_path / "src.trace"
+    save_trace(gen_trace(LAYOUT, TraversalPattern.ZoneSweep), src)
+    loaded = load_trace(src)
+    dest = tmp_path / "dest.trace"
+    save_trace(gen_trace(LAYOUT, TraversalPattern.VarSweep), dest)
+    before = dest.read_bytes(), sidecar_path(dest).read_text()
+    with open(src, "r+b") as f:
+        f.truncate(8)
+    with pytest.raises(ValueError, match=str(src)):
+        save_trace(loaded, dest)
+    assert (dest.read_bytes(), sidecar_path(dest).read_text()) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "dest.trace", "dest.trace.json", "src.trace", "src.trace.json"]

@@ -273,9 +273,9 @@ def _ragged_trace(tmp_path):
     return ["tlbsim", "--trace", str(path)]
 
 
-def _trace_with_sidecar(tmp_path, edit):
+def _trace_with_sidecar(tmp_path, edit, layout="2,4,4,2,2"):
     path = tmp_path / "t.trace"
-    main(["trace", "--layout", "2,4,4,2,2", "--out", str(path)])
+    main(["trace", "--layout", layout, "--out", str(path)])
     side = Path(str(path) + ".json")
     side.write_text(json.dumps(edit(json.loads(side.read_text()))))
     return ["tlbsim", "--trace", str(path)]
@@ -284,6 +284,17 @@ def _trace_with_sidecar(tmp_path, edit):
 def _sidecar_disagrees(tmp_path):
     return _trace_with_sidecar(
         tmp_path, lambda meta: {**meta, "accesses": meta["accesses"] + 1})
+
+
+def _sidecar_bool_accesses(tmp_path):
+    # A one-access trace, where true == 1 and 1.0 == 1.
+    return _trace_with_sidecar(tmp_path, lambda meta: {**meta, "accesses": True},
+                               layout="1,1,1,1,1")
+
+
+def _sidecar_float_accesses(tmp_path):
+    return _trace_with_sidecar(tmp_path, lambda meta: {**meta, "accesses": 1.0},
+                               layout="1,1,1,1,1")
 
 
 def _sidecar_not_object(tmp_path):
@@ -312,7 +323,8 @@ def _invalid_layout(tmp_path):
 
 
 @pytest.mark.parametrize("make_argv", [_missing_trace, _ragged_trace,
-                                       _sidecar_disagrees, _sidecar_not_object,
+                                       _sidecar_disagrees, _sidecar_bool_accesses,
+                                       _sidecar_float_accesses, _sidecar_not_object,
                                        _sidecar_layout_incomplete,
                                        _sidecar_zero_elem_bytes,
                                        _sidecar_float_layout, _malformed_layout,

@@ -1,12 +1,23 @@
+import io
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pagescope import _kernels, tlbsim
-from pagescope.blockmesh import AddressTrace, TraversalPattern, UnkLayout, gen_trace
+from pagescope import _kernels, blockmesh, tlbsim
+from pagescope.blockmesh import (
+    AddressTrace,
+    TraversalPattern,
+    UnkLayout,
+    gen_trace,
+    load_trace,
+    save_trace,
+    sidecar_path,
+)
 from pagescope.tlbsim import (
     CHUNK,
     PAGE_2M,
@@ -321,15 +332,26 @@ def test_sweep_equals_full_replay_at_every_size(pool, runs, passes, claim, chunk
     trace = (offsets if claim == "raw"
              else AddressTrace(offsets, 8, None, None, passes))
     config = TlbConfig(entries=sets * ways, associativity=ways)
-    # A chunk of a few accesses puts many runs across chunk boundaries of
-    # the collapse while the trace stays small enough to replay in full.
-    with mock.patch.object(tlbsim, "CHUNK", chunk):
-        rows = page_size_sweep(trace, config, sizes)
-    assert [r.page_size_bytes for r in rows] == sizes
-    for row in rows:
-        full = _full_replay(replace(config, page_size_bytes=row.page_size_bytes),
-                            trace)
-        assert row.stats == full
+    with tempfile.TemporaryDirectory() as tmp:
+        # The same trace from a file: the sidecar carries the claim, and a
+        # raw stream has none.
+        path = Path(tmp) / "t.trace"
+        save_trace(AddressTrace(offsets, 8, None, None,
+                                1 if claim == "raw" else passes), path)
+        if claim == "raw":
+            sidecar_path(path).unlink()
+        # A chunk of a few accesses puts many runs across chunk boundaries
+        # of the collapse while the trace stays small enough to replay in
+        # full.
+        with mock.patch.object(tlbsim, "CHUNK", chunk):
+            sweeps = [page_size_sweep(trace, config, sizes),
+                      page_size_sweep(load_trace(path), config, sizes)]
+    for rows in sweeps:
+        assert [r.page_size_bytes for r in rows] == sizes
+        for row in rows:
+            full = _full_replay(replace(config, page_size_bytes=row.page_size_bytes),
+                                trace)
+            assert row.stats == full
 
 
 class _CountingTrace:
@@ -377,3 +399,72 @@ def test_simulate_rejects_a_trace_reduced_at_a_larger_page():
 def test_reduce_rejects_a_bad_page_size():
     with pytest.raises(ValueError):
         reduce(BLOCK_TRACE, 3000)
+
+
+def test_trace_and_tlbsim_memory_stays_below_the_trace(tmp_path, capsys):
+    import tracemalloc
+    from pagescope.cli import main
+    path = tmp_path / "zone.trace"
+    peaks = []
+    for argv in (["trace", "--layout", "5,16,16,16,100", "--pattern", "zone",
+                  "--out", str(path)],
+                 ["tlbsim", "--trace", str(path), "--sizes", "4K,2M,512M"]):
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    trace_bytes = path.stat().st_size
+    assert trace_bytes == 8 * 5 * 16 ** 3 * 100  # 16.4 MB
+    assert max(peaks) < trace_bytes // 8, peaks
+    assert capsys.readouterr().out.splitlines()[-3].startswith("4096,2048000,4000,")
+
+
+def _save_block_trace(path):
+    save_trace(gen_trace(UnkLayout.simple(5, 16, 16, 16, 100),
+                         TraversalPattern.BlockSweep, passes=500), path)
+    return path
+
+
+def test_a_file_truncated_after_loading_is_an_error_naming_it(tmp_path):
+    path = _save_block_trace(tmp_path / "block.trace")
+    trace = load_trace(path)
+    with open(path, "r+b") as f:
+        f.truncate(8 * 1000)
+    with pytest.raises(ValueError, match=str(path)):
+        page_size_sweep(trace, TlbConfig(), [PAGE_4K, PAGE_2M])
+    # Truncated while it is read, between two chunks.
+    chunks = load_trace(_save_block_trace(path)).chunks(CHUNK)
+    next(chunks)
+    with open(path, "r+b") as f:
+        f.truncate(CHUNK * 8)
+    with pytest.raises(ValueError, match=str(path)):
+        next(chunks)
+
+
+@pytest.mark.parametrize("claim,chunk,scans", [
+    (500, CHUNK, 1), (500, 64, 1), (1, CHUNK, 1), (400, CHUNK, 2),
+], ids=["period-holds", "pass-longer-than-chunk", "one-pass", "period-false"])
+def test_a_loaded_trace_is_read_once_per_sweep(tmp_path, monkeypatch, claim, chunk,
+                                               scans):
+    path = _save_block_trace(tmp_path / "block.trace")
+    side = sidecar_path(path)
+    side.write_text(side.read_text().replace('"passes": 500', f'"passes": {claim}'))
+    read = []
+
+    class CountingFile(io.FileIO):
+        def readinto(self, buffer):
+            read.append(super().readinto(buffer))
+            return read[-1]
+
+    monkeypatch.setattr(blockmesh, "open",
+                        lambda file, mode, buffering: CountingFile(file, mode),
+                        raising=False)
+    monkeypatch.setattr(tlbsim, "CHUNK", chunk)
+    rows = page_size_sweep(load_trace(path), TlbConfig(entries=48, associativity=4),
+                           [PAGE_4K, PAGE_2M, PAGE_512M])
+    size = path.stat().st_size
+    # A false claim is found in the first scan, then read again as one pass.
+    assert sum(read) == size if scans == 1 else size < sum(read) < 2 * size
+    assert rows[0].stats == TlbStats(50_000, 50_000, 100)
