@@ -1,7 +1,9 @@
 """Hot inner loop: LRU TLB replay.
 
 The LRU replay is interpreted Python: tlbsim hands it only the first
-access of each same-page run, a few thousand on the benchmark traces.
+access of each same-page run, and only of a pass that revisits a page. The
+passes of the benchmark's zone and block traces touch distinct pages and
+are counted without it.
 """
 
 from __future__ import annotations

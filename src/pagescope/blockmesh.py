@@ -17,6 +17,13 @@ keeps `passes` as a count, a loaded trace reads its file into it, and an
 in-memory array is sliced. Writing, loading and replaying a trace
 therefore hold a few chunk buffers, never the whole trace, however many
 accesses it has; only the replay's period check keeps one pass as well.
+
+A generated chunk is filled run by run, each run's part by doubling its
+filled prefix. A chunk that lies inside one run and continues the chunk
+before it in the same run needs less: it is the buffer's previous offsets
+plus the previous chunk's length times the run's stride, one in-place add.
+Only a chunk that starts a run or crosses a run boundary is filled by
+doubling.
 """
 
 from __future__ import annotations
@@ -218,8 +225,13 @@ def _double(buf: np.ndarray, unit: int, step: int) -> None:
 
 def _run_chunks(runs, pass_len: int, bounds, size: int):
     """Chunks of passes of byte runs. A chunk of whole passes is filled
-    once and yielded for every chunk after it, which is the same passes."""
+    once and yielded for every chunk after it, which is the same passes.
+    A piece of a pass that lies inside one run and continues the piece
+    before it inside the same run is that piece advanced in place by its
+    length times the run's stride. Only a pass's last piece is shorter than
+    the one before it, so the buffer already holds every offset to advance."""
     run_starts = list(itertools.accumulate((count for _, count, _ in runs), initial=0))
+    held = None  # (run, end position, length) of the last piece inside one run
     for a, b in bounds:
         if a == 0:  # the first chunk is the largest
             buf = np.empty(b, dtype=np.uint64)
@@ -227,17 +239,22 @@ def _run_chunks(runs, pass_len: int, bounds, size: int):
         if pass_len > size or a == 0:
             pos = a % pass_len
             piece = chunk[:pass_len]
-            done = 0
             r = bisect.bisect_right(run_starts, pos) - 1
-            while done < piece.size:
-                first, count, step = runs[r]
-                skip = pos + done - run_starts[r]
-                take = min(count - skip, piece.size - done)
-                piece[done] = first + skip * step
-                _double(piece[done:done + take], 1, step)
-                done += take
-                r += 1
-            _double(chunk, pass_len, 0)  # k whole passes: repeat the first
+            inside = pos + piece.size <= run_starts[r + 1]
+            last, held = held, (r, pos + piece.size, piece.size) if inside else None
+            if held and last and last[:2] == (r, pos):
+                np.add(piece, np.uint64(last[2] * runs[r][2]), out=piece)
+            else:
+                done = 0
+                while done < piece.size:
+                    first, count, step = runs[r]
+                    skip = pos + done - run_starts[r]
+                    take = min(count - skip, piece.size - done)
+                    piece[done] = first + skip * step
+                    _double(piece[done:done + take], 1, step)
+                    done += take
+                    r += 1
+                _double(chunk, pass_len, 0)  # k whole passes: repeat the first
         yield chunk
 
 

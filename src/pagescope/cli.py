@@ -9,6 +9,7 @@ or a layout too large to allocate). Only `main` turns an exception into an
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -37,7 +38,9 @@ def _parse_layout(text: str) -> blockmesh.UnkLayout:
     return blockmesh.UnkLayout.simple(nvar, ni, nj, nk, blocks)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once: parsing keeps no state in it."""
     p = argparse.ArgumentParser(prog="pagescope")
     sub = p.add_subparsers(dest="cmd", required=True)
 
@@ -164,7 +167,10 @@ def _cmd_run(args) -> int:
 
 def _cmd_tlbsim(args) -> int:
     trace = blockmesh.load_trace(args.trace)
-    sizes = sorted(tlbsim.parse_size(tok) for tok in args.sizes.split(","))
+    try:
+        sizes = sorted(tlbsim.parse_size(tok) for tok in args.sizes.split(","))
+    except ValueError as exc:
+        raise ValueError(f"--sizes: {exc}") from None
     config = tlbsim.TlbConfig(entries=args.entries, associativity=args.assoc,
                               page_size_bytes=sizes[0])
     csv = tlbsim.sweep_csv(tlbsim.page_size_sweep(trace, config, sizes))

@@ -7,7 +7,7 @@ the distinct pages touched since the previous access to the same page.
 The two must agree exactly, which is what the acceptance suite checks
 across randomized traces.
 
-simulate() replays far fewer accesses than the trace holds, by three
+simulate() replays far fewer accesses than the trace holds, by four
 shortcuts that give exactly the full replay's result:
 
 - Run-length collapse. An access to the same page as the access just
@@ -28,6 +28,15 @@ shortcuts that give exactly the full replay's result:
   the smaller size, and starts where one of them starts. Collapsing the
   run starts at the larger size gives the same runs, misses and distinct
   pages as collapsing the full trace.
+- Distinct-page passes. When the runs of one pass all touch different
+  pages, nothing is replayed. Each run of the first pass is a first touch
+  and misses. A later pass touches each set's pages once, in the order the
+  pass before it did, and LRU has kept the last `ways` of them. A set
+  holding k <= `ways` of the pass's pages therefore hits on all k; one
+  holding k > `ways` has evicted each page before its next touch and misses
+  on all k. The misses are a count of pages per set. Zone, block and var
+  sweeps are such passes at every page size; a pass that revisits a page
+  (a sum2d pass) goes to the LRU kernel.
 
 reduce() does the trace-sized work once: it checks the period and keeps
 the offsets that start each run of one pass. simulate() replays a RunTrace
@@ -196,8 +205,9 @@ def simulate(config: TlbConfig, trace) -> TlbStats:
     miss on absence with eviction of the set's least recently used entry.
 
     `trace` is a trace, reduced here at the config's page size, or a
-    RunTrace reduced at that size or a smaller one. Only the first access
-    of each same-page run of one pass reaches the LRU kernel, and of two
+    RunTrace reduced at that size or a smaller one. A pass of distinct
+    pages is counted without replay; otherwise only the first access of
+    each same-page run of one pass reaches the LRU kernel, and of two
     passes when the trace has more (see the module docstring)."""
     runs = (trace if isinstance(trace, RunTrace)
             else reduce(trace, config.page_size_bytes))
@@ -208,6 +218,13 @@ def simulate(config: TlbConfig, trace) -> TlbStats:
         return TlbStats(0, 0, 0)
     shift = _shift(config.page_size_bytes)
     pages = (_scan(_source(runs.starts), shift, 1) >> shift).view(np.int64)
+    distinct = _distinct(pages)
+    if distinct == pages.size:
+        # Distinct-page passes (module docstring): no replay needed.
+        per_set = np.bincount(pages % config.sets)
+        later = int(per_set[per_set > config.ways].sum())
+        return TlbStats(runs.accesses, pages.size + (runs.passes - 1) * later,
+                        distinct)
     misses = _kernels.lru_misses(pages, config.sets, config.ways)
     if runs.passes > 1:
         # The second pass's first run continues the first's last one if
@@ -215,7 +232,7 @@ def simulate(config: TlbConfig, trace) -> TlbStats:
         two = np.concatenate((pages, pages[int(pages[0] == pages[-1]):]))
         m2 = _kernels.lru_misses(two, config.sets, config.ways)
         misses += (runs.passes - 1) * (m2 - misses)
-    return TlbStats(runs.accesses, int(misses), _distinct(pages))
+    return TlbStats(runs.accesses, int(misses), distinct)
 
 
 def stack_distance_oracle(entries: int, trace, page_size_bytes: int) -> TlbStats:
@@ -263,6 +280,9 @@ def page_size_sweep(trace, config: TlbConfig,
         raise ValueError("need at least one page size")
     if sizes != sorted(sizes):
         raise ValueError("sizes must be ascending")
+    for size, after in zip(sizes, sizes[1:]):
+        if size == after:
+            raise ValueError(f"page size {size} is given twice")
     runs = reduce(trace, sizes[0])
     rows = []
     base_misses: int | None = None
@@ -288,9 +308,12 @@ def sweep_csv(rows: list[SweepRow]) -> str:
 
 
 def parse_size(token: str) -> int:
-    """Parse 4K / 2M / 512M / 1G style size tokens (or plain byte counts)."""
-    token = token.strip().upper()
+    """Parse 4K / 2M / 512M / 1G style size tokens (or plain byte counts);
+    ValueError naming the token if it is neither."""
+    text = token.strip().upper()
     units = {"K": 1024, "M": 1024 ** 2, "G": 1024 ** 3}
-    if token and token[-1] in units:
-        return int(token[:-1]) * units[token[-1]]
-    return int(token)
+    scale = units.get(text[-1:], 1)
+    digits = text[:-1] if scale > 1 else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{token.strip()!r} is not a size like 4K, 2M or 4096")
+    return int(digits) * scale

@@ -329,10 +329,16 @@ def test_chunks_concatenate_to_the_offsets_within_passes(tmp_path, pattern):
     trace = gen_trace(SMALL, pattern, passes=passes)
     pass_len = trace.accesses // passes
     expected = np.tile(_single_pass_elements(SMALL, pattern) * np.uint64(8), passes)
+    longest = max(count for _, count, _ in _single_pass_runs(SMALL, pattern))
+    whole = next(k for k in (4, 3, 2) if longest % k == 0)
+    # A pass longer than, as long as and shorter than a chunk; then a run
+    # split into several whole chunks, and into chunks that do not divide
+    # it (half a run and one, a run and one).
+    sizes = (max(1, pass_len // 3), pass_len, 2 * pass_len + 1,
+             longest // whole, longest // 2 + 1, longest + 1)
     for kind, source in _source_kinds(trace, tmp_path).items():
         assert source.offsets.tolist() == expected.tolist(), kind
-        # A pass longer than, as long as and shorter than a chunk.
-        for size in (max(1, pass_len // 3), pass_len, 2 * pass_len + 1):
+        for size in sizes:
             done, seen = 0, []
             for chunk in source.chunks(size):
                 n = chunk.size

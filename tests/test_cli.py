@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import pagescope
 from pagescope.cli import _build_run_config, build_parser, main
 from pagescope.counterhub import EVENT_NAMES, EventId
 from pagescope.hugepagectl import THP_ENABLED_PATH
@@ -322,13 +326,22 @@ def _invalid_layout(tmp_path):
     return ["trace", "--layout", "0,16,16,16,16", "--out", str(tmp_path / "t.trace")]
 
 
+def _sizes_not_a_size(tmp_path):
+    return _trace_with_sidecar(tmp_path, lambda meta: meta) + ["--sizes", "4K,x"]
+
+
+def _sizes_repeated(tmp_path):
+    return _trace_with_sidecar(tmp_path, lambda meta: meta) + ["--sizes", "4K,4K"]
+
+
 @pytest.mark.parametrize("make_argv", [_missing_trace, _ragged_trace,
                                        _sidecar_disagrees, _sidecar_bool_accesses,
                                        _sidecar_float_accesses, _sidecar_not_object,
                                        _sidecar_layout_incomplete,
                                        _sidecar_zero_elem_bytes,
                                        _sidecar_float_layout, _malformed_layout,
-                                       _invalid_layout])
+                                       _invalid_layout, _sizes_not_a_size,
+                                       _sizes_repeated])
 def test_bad_trace_input_is_one_line_error(tmp_path, capsys, make_argv):
     argv = make_argv(tmp_path)
     capsys.readouterr()
@@ -336,6 +349,45 @@ def test_bad_trace_input_is_one_line_error(tmp_path, capsys, make_argv):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("sizes, message", [
+    ("4K,x", "error: --sizes: 'x' is not a size like 4K, 2M or 4096\n"),
+    ("2M,4k,2m", "error: page size 2097152 is given twice\n"),
+])
+def test_bad_sizes_name_the_token(tmp_path, capsys, sizes, message):
+    argv = _trace_with_sidecar(tmp_path, lambda meta: meta) + ["--sizes", sizes]
+    capsys.readouterr()
+    assert main(argv) == 3
+    assert capsys.readouterr().err == message
+
+
+def _fresh_main(argv):
+    """(exit code, stdout, stderr) of `main(argv)` in a new interpreter."""
+    src = str(Path(pagescope.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys; from pagescope.cli import main; sys.exit(main(sys.argv[1:]))"
+    done = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True)
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_repeated_main_calls_match_fresh_runs(tmp_path, capsys):
+    trace = str(tmp_path / "t.trace")
+    main(["trace", "--layout", "2,4,4,2,2", "--pattern", "zone", "--out", trace])
+    calls = [["tlbsim", "--trace", trace, "--sizes", "2M"],
+             ["tlbsim", "--trace", trace],
+             ["tlbsim", "--trace", trace, "--entries", "x"],
+             ["tlbsim", "--trace", trace, "--entries", "16", "--assoc", "4"]]
+    capsys.readouterr()
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects a flag
+            code = exc.code
+        assert (code, *capsys.readouterr()) == _fresh_main(argv), argv
+    assert build_parser() is build_parser()
 
 
 def _saved_report(tmp_path) -> Path:

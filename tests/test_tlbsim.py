@@ -188,6 +188,9 @@ def test_sweep_requires_sorted_sizes():
     with pytest.raises(ValueError):
         page_size_sweep(np.zeros(1, dtype=np.uint64), TlbConfig(),
                         [PAGE_2M, PAGE_4K])
+    with pytest.raises(ValueError, match="page size 4096 is given twice"):
+        page_size_sweep(np.zeros(1, dtype=np.uint64), TlbConfig(),
+                        [PAGE_4K, PAGE_4K, PAGE_2M])
 
 
 def test_sweep_csv_format():
@@ -205,6 +208,11 @@ def test_parse_size():
     assert parse_size("2M") == 2 * 1024 ** 2
     assert parse_size("512M") == 512 * 1024 ** 2
     assert parse_size("8192") == 8192
+    assert parse_size(" 1g ") == 1024 ** 3
+    for token in ("x", "4X", "K", "", "-4096", "4.5K", "2 M"):
+        with pytest.raises(ValueError, match="is not a size like 4K, 2M or 4096"):
+            parse_size(token)
+
 
 
 def _full_replay(config: TlbConfig, trace) -> TlbStats:
@@ -233,6 +241,21 @@ def test_shortcuts_equal_full_replay(one_pass, passes, sets, ways):
     config = TlbConfig(entries=sets * ways, associativity=ways)
     trace = _tiled(one_pass, passes)
     assert simulate(config, trace) == _full_replay(config, trace)
+
+
+# Passes of distinct pages, across set counts and ways from one to more
+# than the pages a pass holds; a single-page pass included.
+@given(st.lists(st.integers(0, 200), min_size=1, max_size=30, unique=True),
+       st.sampled_from([1, 2, 3, 12]), st.integers(1, 32), st.integers(1, 2))
+@settings(max_examples=300, deadline=None)
+def test_distinct_page_passes_equal_full_replay_without_it(one_pass, sets, ways,
+                                                          passes):
+    config = TlbConfig(entries=sets * ways, associativity=ways)
+    trace = _tiled(one_pass, passes)
+    expected = _full_replay(config, trace)
+    with mock.patch.object(_kernels, "lru_misses",
+                           side_effect=AssertionError("replayed")):
+        assert simulate(config, trace) == expected
 
 
 def _claims_two_passes_but_halves_differ():
@@ -291,7 +314,18 @@ def test_periodic_block_trace_replays_at_most_three_passes(replayed):
                       TraversalPattern.BlockSweep, passes=2000)
     stats = simulate(TlbConfig(entries=48, associativity=4), trace)
     assert stats.accesses == stats.misses == 2_000_000  # every run misses
-    assert 0 < sum(replayed) <= 3 * blocks
+    assert replayed == []  # a pass of distinct pages is counted, not replayed
+
+
+def test_periodic_sum2d_trace_replays_at_most_three_passes(replayed):
+    trace = gen_trace(UnkLayout.simple(1, 64, 64, 1, 1),
+                      TraversalPattern.RepeatedSum2D, passes=3)
+    config = TlbConfig(entries=48, associativity=4)
+    runs = reduce(trace, PAGE_4K).starts.size  # the pass revisits its pages
+    expected = _full_replay(config, trace)
+    replayed.clear()
+    assert simulate(config, trace) == expected
+    assert 0 < sum(replayed) <= 3 * runs < trace.accesses
 
 
 def test_zone_trace_replays_one_access_per_page_run(replayed):
@@ -304,7 +338,7 @@ def test_zone_trace_replays_one_access_per_page_run(replayed):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert replayed == [4000]
+    assert replayed == []
     assert stats == TlbStats(trace.accesses, 4000, 4000)
     # The collapse keeps one flag per access, not a page id per access.
     assert peak < trace.offsets.nbytes // 4
