@@ -317,13 +317,6 @@ def _single_pass_runs(layout: UnkLayout,
     raise ValueError(f"unknown pattern {pattern!r}")
 
 
-def _single_pass_elements(layout: UnkLayout, pattern: TraversalPattern) -> np.ndarray:
-    """Element indices of one traversal pass, in access order."""
-    parts = [np.arange(start, start + count * stride, stride, dtype=np.uint64)
-             for start, count, stride in _single_pass_runs(layout, pattern)]
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-
 def _run_views(arr: np.ndarray, runs: list[tuple[int, int, int]]) -> list[np.ndarray]:
     """One strided view of `arr` per run. Every view is 1-D with a positive
     stride, so numpy writes and reads it in trace order; a 2-D view could be

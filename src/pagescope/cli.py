@@ -23,10 +23,6 @@ EXIT_OK = 0
 EXIT_WORKLOAD = 2
 EXIT_CAPABILITY = 3
 
-_PATTERN_TOKENS = {"zone": blockmesh.TraversalPattern.ZoneSweep,
-                   "block": blockmesh.TraversalPattern.BlockSweep,
-                   "var": blockmesh.TraversalPattern.VarSweep,
-                   "sum2d": blockmesh.TraversalPattern.RepeatedSum2D}
 DEFAULT_LAYOUT = "5,16,16,16,16"
 
 
@@ -38,10 +34,18 @@ def _parse_layout(text: str) -> blockmesh.UnkLayout:
     return blockmesh.UnkLayout.simple(nvar, ni, nj, nk, blocks)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as ValueError, for `main` to turn into
+    one `error:` line and exit 3; subparsers are built from this class too."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser, built once: parsing keeps no state in it."""
-    p = argparse.ArgumentParser(prog="pagescope")
+    p = _Parser(prog="pagescope")
     sub = p.add_subparsers(dest="cmd", required=True)
 
     run = sub.add_parser("run", help="run a with/without huge-pages experiment")
@@ -59,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--freq-hz", type=float, default=None)
     run.add_argument("--line-bytes", type=int, default=None)
     run.add_argument("--workload", default=None,
-                     choices=["block-sweep", "zone-sweep", "sum2d"],
+                     choices=sorted(report.WORKLOAD_PATTERNS),
                      help="built-in workload; or pass an external command "
                           "after --")
     run.add_argument("--layout", default=None,
@@ -85,7 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     tr = sub.add_parser("trace", help="generate a workload address trace")
     tr.add_argument("--layout", default=DEFAULT_LAYOUT)
-    tr.add_argument("--pattern", default="block", choices=sorted(_PATTERN_TOKENS))
+    tr.add_argument("--pattern", default="block",
+                    choices=[t.value for t in blockmesh.TraversalPattern])
     tr.add_argument("--passes", type=int, default=1)
     tr.add_argument("--out", required=True)
 
@@ -183,7 +188,8 @@ def _cmd_tlbsim(args) -> int:
 
 def _cmd_trace(args) -> int:
     trace = blockmesh.gen_trace(_parse_layout(args.layout),
-                                _PATTERN_TOKENS[args.pattern], passes=args.passes)
+                                blockmesh.TraversalPattern(args.pattern),
+                                passes=args.passes)
     blockmesh.save_trace(trace, args.out)
     print(f"{trace.accesses} accesses -> {args.out} "
           f"(+ sidecar {blockmesh.sidecar_path(args.out).name})")
@@ -230,18 +236,18 @@ def _cmd_thp(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command; the only place an error becomes an exit code."""
-    args = build_parser().parse_args(argv)
-    handler = {
-        "run": _cmd_run,
-        "tlbsim": _cmd_tlbsim,
-        "trace": _cmd_trace,
-        "doctor": _cmd_doctor,
-        "render": _cmd_render,
-        "thp": _cmd_thp,
-    }[args.cmd]
+    """Run one command; the only place an error, a bad command line
+    included, becomes an exit code."""
     try:
-        return handler(args)
+        args = build_parser().parse_args(argv)
+        return {
+            "run": _cmd_run,
+            "tlbsim": _cmd_tlbsim,
+            "trace": _cmd_trace,
+            "doctor": _cmd_doctor,
+            "render": _cmd_render,
+            "thp": _cmd_thp,
+        }[args.cmd](args)
     except report.WorkloadFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
         if exc.partial is not None:

@@ -12,7 +12,6 @@ meminfo snapshots taken before and during a run.
 from __future__ import annotations
 
 import enum
-import queue
 import threading
 import time
 from dataclasses import dataclass, field
@@ -327,10 +326,11 @@ def detect_usage(before: MeminfoSnapshot,
 # ---------------------------------------------------------------------------
 
 class MeminfoMonitor:
-    """Polls meminfo into a one-way queue while a workload runs.
+    """Polls meminfo into a list while a workload runs.
 
-    The orchestrator drains the queue after stopping; snapshot parsing is
-    pure so the thread shares nothing mutable with the workload.
+    Only the polling thread appends to the list, and `stop` joins that
+    thread before it hands the list over, so no lock is needed; snapshot
+    parsing is pure so the thread shares nothing mutable with the workload.
     """
 
     def __init__(self, fs, cadence_s: float = DEFAULT_CADENCE_S,
@@ -338,7 +338,7 @@ class MeminfoMonitor:
         self.fs = fs
         self.cadence_s = cadence_s
         self.path = path
-        self._queue: queue.Queue[MeminfoSnapshot] = queue.Queue()
+        self._snaps: list[MeminfoSnapshot] = []
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
         self.samples = 0  # reads attempted through sample()
@@ -362,7 +362,7 @@ class MeminfoMonitor:
         while not self._stop.is_set():
             snap = self.sample()
             if snap is not None:
-                self._queue.put(snap)
+                self._snaps.append(snap)
             self._stop.wait(self.cadence_s)
 
     def start(self) -> None:
@@ -375,9 +375,5 @@ class MeminfoMonitor:
         if self._thread is not None:
             self._thread.join()
             self._thread = None
-        snaps = []
-        while True:
-            try:
-                snaps.append(self._queue.get_nowait())
-            except queue.Empty:
-                return snaps
+        snaps, self._snaps = self._snaps, []
+        return snaps

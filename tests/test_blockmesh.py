@@ -12,7 +12,6 @@ from pagescope.blockmesh import (
     TraversalPattern,
     UnkLayout,
     _run_views,
-    _single_pass_elements,
     _single_pass_runs,
     address_of,
     gen_trace,
@@ -23,6 +22,14 @@ from pagescope.blockmesh import (
 )
 
 LAYOUT = UnkLayout.simple(5, 16, 16, 16, 10)
+
+
+def _single_pass_elements(layout: UnkLayout, pattern: TraversalPattern) -> np.ndarray:
+    """Element indices of one traversal pass, in access order: the plain
+    np.arange reference that chunked and viewed walks are compared against."""
+    parts = [np.arange(start, start + count * stride, stride, dtype=np.uint64)
+             for start, count, stride in _single_pass_runs(layout, pattern)]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def test_origin_is_zero():

@@ -334,6 +334,18 @@ def _sizes_repeated(tmp_path):
     return _trace_with_sidecar(tmp_path, lambda meta: meta) + ["--sizes", "4K,4K"]
 
 
+def _entries_not_an_int(tmp_path):
+    return ["tlbsim", "--trace", str(tmp_path / "t.trace"), "--entries", "x"]
+
+
+def _pattern_unknown(tmp_path):
+    return ["trace", "--pattern", "bogus", "--out", str(tmp_path / "t.trace")]
+
+
+def _tlbsim_without_trace(tmp_path):
+    return ["tlbsim"]
+
+
 @pytest.mark.parametrize("make_argv", [_missing_trace, _ragged_trace,
                                        _sidecar_disagrees, _sidecar_bool_accesses,
                                        _sidecar_float_accesses, _sidecar_not_object,
@@ -341,10 +353,20 @@ def _sizes_repeated(tmp_path):
                                        _sidecar_zero_elem_bytes,
                                        _sidecar_float_layout, _malformed_layout,
                                        _invalid_layout, _sizes_not_a_size,
-                                       _sizes_repeated])
+                                       _sizes_repeated, _entries_not_an_int,
+                                       _pattern_unknown, _tlbsim_without_trace])
 def test_bad_trace_input_is_one_line_error(tmp_path, capsys, make_argv):
     argv = make_argv(tmp_path)
     capsys.readouterr()
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["run", "--repetitions", "x"], []],
+                         ids=["repetitions-not-an-int", "no-command"])
+def test_bad_command_line_is_one_line_error(capsys, argv):
     assert main(argv) == 3
     out, err = capsys.readouterr()
     assert out == ""
@@ -376,18 +398,21 @@ def _fresh_main(argv):
 def test_repeated_main_calls_match_fresh_runs(tmp_path, capsys):
     trace = str(tmp_path / "t.trace")
     main(["trace", "--layout", "2,4,4,2,2", "--pattern", "zone", "--out", trace])
-    calls = [["tlbsim", "--trace", trace, "--sizes", "2M"],
-             ["tlbsim", "--trace", trace],
-             ["tlbsim", "--trace", trace, "--entries", "x"],
-             ["tlbsim", "--trace", trace, "--entries", "16", "--assoc", "4"]]
+    calls = [(["tlbsim", "--trace", trace, "--sizes", "2M"], 0),
+             (["tlbsim", "--trace", trace], 0),
+             (["tlbsim", "--trace", trace, "--entries", "x"], 3),
+             (["tlbsim", "--trace", trace, "--entries", "16", "--assoc", "4"], 0)]
     capsys.readouterr()
-    for argv in calls:
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse rejects a flag
-            code = exc.code
-        assert (code, *capsys.readouterr()) == _fresh_main(argv), argv
+    for argv, code in calls:
+        result = (main(argv), *capsys.readouterr())
+        assert result[0] == code and result == _fresh_main(argv), argv
     assert build_parser() is build_parser()
+
+
+def test_help_still_exits_zero():
+    code, out, err = _fresh_main(["trace", "--help"])
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: ")
 
 
 def _saved_report(tmp_path) -> Path:
