@@ -40,6 +40,7 @@ import numpy as np
 
 
 CHUNK = 1 << 15  # offsets per chunk of a streamed trace (256 KiB)
+ALLOC_STRATEGIES = ("eager", "demand")  # run_kernel's `alloc` values
 
 
 class IndexOutOfBounds(IndexError):
@@ -337,20 +338,49 @@ def gen_trace(layout: UnkLayout, pattern: TraversalPattern,
     return AddressTrace(runs, eb, layout, pattern, passes)
 
 
+def _covers(outer: tuple[int, int, int], inner: tuple[int, int, int]) -> bool:
+    """Whether run `outer` holds every element of run `inner`, in closed
+    form. Runs are (first, count, stride) with positive strides: `inner` is
+    inside `outer` when both its ends are elements of `outer` and, if it
+    has two or more elements, its stride is a multiple of `outer`'s."""
+    first, count, stride = outer
+    start, n, step = inner
+
+    def holds(e: int) -> bool:
+        return 0 <= e - first <= (count - 1) * stride and (e - first) % stride == 0
+
+    return (holds(start) and holds(start + (n - 1) * step)
+            and (n == 1 or step % stride == 0))
+
+
+def _first_touch_runs(runs: list[tuple[int, int, int]]) -> list[bool]:
+    """For each run, whether a first pass must write it: False when one
+    run written before it already holds all of its elements. Each run is
+    compared only with the runs written so far (for sum2d, run 0 alone)."""
+    written, writes = [], []
+    for run in runs:
+        writes.append(not any(_covers(w, run) for w in written))
+        if writes[-1]:
+            written.append(run)
+    return writes
+
+
 def run_kernel(layout: UnkLayout, pattern: TraversalPattern, passes: int,
                fill: float, alloc: str = "eager") -> float:
     """Allocate the array, fill it, and sum it along the traversal.
 
     alloc="eager" pretouches the whole array with the fill value before any
     pass; alloc="demand" leaves pages untouched until the first traversal
-    pass writes them in access order, so page faults (and any transparent
-    huge-page mapping) happen under the measured region. The checksum is
-    the sum over every traversed element, identical for both strategies.
-    Each pass sums one strided view of the array per run of the pattern,
-    so the measured region reads the array under test and allocates nothing
-    the size of a pass.
+    pass, which writes each element once, at its first touch in access
+    order: a run whose elements an earlier run of that pass already wrote
+    is only read. Page faults (and any transparent huge-page mapping)
+    therefore happen under the measured region. The checksum is the sum
+    over every traversed element, identical for both strategies. Each pass
+    reduces one strided view of the array per run of the pattern with one
+    `np.add.reduce` call, so the measured region reads the array under test
+    and allocates nothing the size of a pass.
     """
-    if alloc not in ("eager", "demand"):
+    if alloc not in ALLOC_STRATEGIES:
         raise ValueError(f"alloc must be eager or demand, got {alloc!r}")
     nbytes = 8 * layout.elements
     # An overcommitting kernel can grant an array larger than the host's
@@ -367,13 +397,16 @@ def run_kernel(layout: UnkLayout, pattern: TraversalPattern, passes: int,
     except MemoryError as exc:
         raise AllocationFailure(f"cannot allocate {nbytes} bytes") from exc
 
-    views = _run_views(arr, _single_pass_runs(layout, pattern))
+    runs = _single_pass_runs(layout, pattern)
+    views = _run_views(arr, runs)
+    writes = _first_touch_runs(runs) if alloc == "demand" else [False] * len(runs)
+    total = np.add.reduce
     checksum = 0.0
     for n in range(passes):
-        for view in views:
-            if alloc == "demand" and n == 0:
+        for view, write in zip(views, writes):
+            if write and n == 0:
                 view[...] = fill
-            checksum += float(view.sum())
+            checksum += float(total(view))
     return checksum
 
 

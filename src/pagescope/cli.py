@@ -46,7 +46,7 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     """The parser, built once: parsing keeps no state in it."""
     p = _Parser(prog="pagescope")
-    sub = p.add_subparsers(dest="cmd", required=True)
+    sub = p.add_subparsers(dest="cmd", metavar="command", required=True)
 
     run = sub.add_parser("run", help="run a with/without huge-pages experiment")
     run.add_argument("--config", help="experiment config JSON file")
@@ -71,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--n", type=int, default=None,
                      help="square side N: layout 1,N,N,1,1 (for the sum2d workload)")
     run.add_argument("--passes", type=int, default=None)
-    run.add_argument("--alloc", choices=["eager", "demand"], default=None)
+    run.add_argument("--alloc", choices=blockmesh.ALLOC_STRATEGIES, default=None)
     run.add_argument("--repetitions", type=int, default=None)
     run.add_argument("--label", default=None)
     run.add_argument("--out", default=None, help="results directory")

@@ -17,6 +17,7 @@ import platform
 import shutil
 import statistics
 import subprocess
+import sys
 import time
 from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
@@ -118,6 +119,12 @@ class WorkloadSpec:
             raise ValueError(f"unknown workload kind {self.kind!r}")
         if type(self.passes) is not int or self.passes < 1:
             raise ValueError("passes must be an integer >= 1")
+        if self.alloc not in blockmesh.ALLOC_STRATEGIES:
+            raise ValueError(f"alloc {self.alloc!r} is not eager or demand")
+        # NaN and the infinities compare False, as does an int no double holds.
+        if (type(self.fill) not in (int, float)
+                or not abs(self.fill) <= sys.float_info.max):
+            raise ValueError(f"fill {self.fill!r} is not a finite number")
 
     @property
     def region_name(self) -> str:

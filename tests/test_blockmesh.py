@@ -11,6 +11,8 @@ from pagescope.blockmesh import (
     IndexOutOfBounds,
     TraversalPattern,
     UnkLayout,
+    _covers,
+    _first_touch_runs,
     _run_views,
     _single_pass_runs,
     address_of,
@@ -213,12 +215,89 @@ def test_checksum_linear_in_passes():
     assert three == 3 * one
 
 
+# A non-square plane with nvar > 1: sum2d's column sweep covers its row runs
+# at stride nvar.
+PLANE_3VAR = UnkLayout.simple(3, 5, 7, 1, 2)
+
+
 @pytest.mark.parametrize("pattern", list(TraversalPattern))
-def test_checksum_identical_across_alloc_strategies(pattern):
-    eager = run_kernel(SMALL, pattern, 2, 1.5, alloc="eager")
-    demand = run_kernel(SMALL, pattern, 2, 1.5, alloc="demand")
-    assert eager == demand
-    assert eager == 2 * 1.5 * gen_trace(SMALL, pattern).accesses
+def test_checksum_identical_across_alloc_strategies(monkeypatch, pattern):
+    # A demand array starts as NaN, so an element the kernel reads before
+    # it writes it shows in the checksum.
+    monkeypatch.setattr(np, "empty", lambda *a, **k: np.full(*a, np.nan, **k))
+    for lay in (SMALL, PLANE_3VAR):
+        eager = run_kernel(lay, pattern, 2, 1.5, alloc="eager")
+        demand = run_kernel(lay, pattern, 2, 1.5, alloc="demand")
+        assert eager == demand
+        assert eager == 2 * 1.5 * gen_trace(lay, pattern).accesses
+
+
+class _LoggedView(np.ndarray):
+    """One run's view that logs each write to it and each reduction of it."""
+
+    def __setitem__(self, key, value):
+        self.log.append(("write", self.run))
+        super().__setitem__(key, value)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        self.log.append(("read", self.run))
+        inputs = [x.view(np.ndarray) if isinstance(x, _LoggedView) else x
+                  for x in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+@pytest.mark.parametrize("alloc", ["eager", "demand"])
+@pytest.mark.parametrize("pattern", list(TraversalPattern))
+def test_demand_writes_each_element_once_at_first_touch(monkeypatch, pattern, alloc):
+    log = []
+
+    def logged_views(arr, runs):
+        views = [view.view(_LoggedView) for view in _run_views(arr, runs)]
+        for run, view in enumerate(views):
+            view.log, view.run = log, run
+        return views
+
+    monkeypatch.setattr("pagescope.blockmesh._run_views", logged_views)
+    assert run_kernel(PLANE_3VAR, pattern, 3, 1.0, alloc=alloc) == (
+        3 * gen_trace(PLANE_3VAR, pattern).accesses)
+    # Pass 0 of a demand run writes run 0 before reading it, and nothing
+    # else: zone, block and var have one run, and sum2d's column sweep
+    # holds every element of its row sweep.
+    reads = [("read", run)
+             for run in range(len(_single_pass_runs(PLANE_3VAR, pattern)))]
+    assert log == [("write", 0)] * (alloc == "demand") + reads * 3
+
+
+def test_sum2d_first_pass_writes_only_its_column_sweep():
+    runs = _single_pass_runs(UnkLayout.simple(1, 2048, 2048, 1, 1),
+                             TraversalPattern.RepeatedSum2D)
+    assert _first_touch_runs(runs) == [True] + [False] * 2048
+
+
+def _elements(first, count, stride):
+    return set(range(first, first + count * stride, stride))
+
+
+_small_runs = st.tuples(st.integers(0, 40), st.integers(1, 8), st.integers(1, 12))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_small_runs, _small_runs)
+def test_covers_is_element_inclusion(outer, inner):
+    assert _covers(outer, inner) == (_elements(*inner) <= _elements(*outer))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_small_runs, min_size=1, max_size=6))
+def test_first_touch_runs_skip_only_elements_already_written(runs):
+    writes = _first_touch_runs(runs)
+    assert writes[0]
+    written = set()
+    for run, write in zip(runs, writes):
+        if write:
+            written |= _elements(*run)
+        else:
+            assert _elements(*run) <= written
 
 
 def test_run_kernel_allocates_no_gather_temporary():

@@ -225,6 +225,13 @@ def _config_file(content):
     ["--freq-hz", "nan"],
     ["--freq-hz", "inf"],
     _config_file({"cpu": {"freq_hz": "nan"}}),
+    _config_file({"workload": {"kind": "sum2d", "layout": PLANE_8, "fill": None}}),
+    _config_file({"workload": {"kind": "sum2d", "layout": PLANE_8, "fill": "1.5"}}),
+    _config_file({"workload": {"kind": "sum2d", "layout": PLANE_8, "fill": True}}),
+    _config_file({"workload": {"kind": "sum2d", "layout": PLANE_8,
+                               "fill": float("nan")}}),
+    _config_file({"workload": {"kind": "sum2d", "layout": PLANE_8, "fill": 10 ** 400}}),
+    _config_file({"workload": {"kind": "sum2d", "layout": PLANE_8, "alloc": "lazy"}}),
 ], ids=["n-0", "passes-0", "repetitions-0", "short-layout", "missing-config",
         "config-not-object", "config-workload-not-object",
         "config-layout-incomplete", "config-increments-not-object",
@@ -233,7 +240,9 @@ def _config_file(content):
         "config-cpu-unknown-key", "config-layout-float",
         "config-repetitions-bool", "config-argv-not-list",
         "config-argv-with-builtin-kind", "freq-nan", "freq-inf",
-        "config-freq-nan"])
+        "config-freq-nan", "config-fill-null", "config-fill-string",
+        "config-fill-bool", "config-fill-nan", "config-fill-huge-int",
+        "config-alloc-unknown"])
 def test_bad_run_flags_are_bad_configuration(tmp_path, capsys, flags):
     if callable(flags):
         flags = flags(tmp_path)
@@ -371,6 +380,8 @@ def test_bad_command_line_is_one_line_error(capsys, argv):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    if not argv:  # names a word the user can type, not the parser's dest
+        assert err.endswith(" command\n")
 
 
 @pytest.mark.parametrize("sizes, message", [
