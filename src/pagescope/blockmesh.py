@@ -136,6 +136,14 @@ class TraversalPattern(enum.Enum):
     RepeatedSum2D = "sum2d"
 
 
+# The built-in workloads `run` can time, by name.
+WORKLOAD_PATTERNS = {
+    "block-sweep": TraversalPattern.BlockSweep,
+    "zone-sweep": TraversalPattern.ZoneSweep,
+    "sum2d": TraversalPattern.RepeatedSum2D,
+}
+
+
 @dataclass(frozen=True)
 class TraceFile:
     """A trace file of `accesses` u64 little-endian offsets, as loaded."""

@@ -4,6 +4,12 @@ Exit codes: 0 success, 2 workload failure, 3 capability or input failure
 (a bad flag, a missing or malformed config, trace, sidecar or report file,
 or a layout too large to allocate). Only `main` turns an exception into an
 `error: ...` line and a code.
+
+Each process runs one command, so the module loads only what the parser
+and the replay commands need: `blockmesh`, `tlbsim` and `hugepagectl`.
+`run`, `render` and `doctor` import the experiment stack (`report` and,
+through it, `render`, `metrics` and `counterhub`) when they start, so
+`trace` and `tlbsim` never load it.
 """
 
 from __future__ import annotations
@@ -14,10 +20,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import blockmesh, report, tlbsim
-from .counterhub import EVENT_NAMES, default_events
-from .hugepagectl import (THP_ENABLED_PATH, HugePageMode, RealFs,
-                          SystemWriteNotAllowed, ThpMode, parse_thp, write_thp)
+from . import blockmesh, hugepagectl, tlbsim
 
 EXIT_OK = 0
 EXIT_WORKLOAD = 2
@@ -51,10 +54,10 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run a with/without huge-pages experiment")
     run.add_argument("--config", help="experiment config JSON file")
     run.add_argument("--mode-a", default=None,
-                     choices=[m.value for m in HugePageMode],
+                     choices=[m.value for m in hugepagectl.HugePageMode],
                      help="baseline huge-page mode (default off)")
     run.add_argument("--mode-b", default=None,
-                     choices=[m.value for m in HugePageMode],
+                     choices=[m.value for m in hugepagectl.HugePageMode],
                      help="treatment huge-page mode (default thp)")
     run.add_argument("--simulate-counters", action="store_true",
                      help="use the deterministic simulated counter backend")
@@ -63,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--freq-hz", type=float, default=None)
     run.add_argument("--line-bytes", type=int, default=None)
     run.add_argument("--workload", default=None,
-                     choices=sorted(report.WORKLOAD_PATTERNS),
+                     choices=sorted(blockmesh.WORKLOAD_PATTERNS),
                      help="built-in workload; or pass an external command "
                           "after --")
     run.add_argument("--layout", default=None,
@@ -94,7 +97,9 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--passes", type=int, default=1)
     tr.add_argument("--out", required=True)
 
-    sub.add_parser("doctor", help="report host capabilities (read-only)")
+    doc = sub.add_parser("doctor", help="report host capabilities (read-only)")
+    doc.add_argument("--json", action="store_true",
+                     help="print the report as one JSON object")
 
     ren = sub.add_parser("render", help="render a saved report")
     ren.add_argument("--report", required=True, action="append",
@@ -108,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     thp = sub.add_parser("thp", help="show or set the THP mode")
     thp.add_argument("--set", dest="set_mode", default=None,
-                     choices=[m.value for m in ThpMode])
+                     choices=[m.value for m in hugepagectl.ThpMode])
     thp.add_argument("--allow-system-writes", action="store_true",
                      help="required opt-in for sysfs writes")
     return p
@@ -125,10 +130,14 @@ def _given(**flags) -> dict:
     return {key: value for key, value in flags.items() if value is not None}
 
 
-def _build_run_config(args) -> report.ExperimentConfig:
-    """Defaults (events from PAPI_EVENTS, the real counter backend), then
-    the config file, then each flag that was given, built in one step; a
-    bad flag value or config file raises ValueError "bad configuration: ..."."""
+def _build_run_config(args):
+    """The run's `report.ExperimentConfig`: defaults (events from
+    PAPI_EVENTS, the real counter backend), then the config file, then each
+    flag that was given, built in one step; a bad flag value or config file
+    raises ValueError "bad configuration: ..."."""
+    from . import report
+    from .counterhub import EVENT_NAMES, default_events
+
     d = {"backend": "real",
          "events": sorted(EVENT_NAMES[ev] for ev in default_events()),
          "workload": {"kind": "zone-sweep",
@@ -161,6 +170,8 @@ def _build_run_config(args) -> report.ExperimentConfig:
 
 
 def _cmd_run(args) -> int:
+    from . import report
+
     rep = report.run_experiment(_build_run_config(args), out_dir=args.out)
     print(report.render_table(rep), end="")
     for warning in rep["warnings"]:
@@ -196,12 +207,20 @@ def _cmd_trace(args) -> int:
     return EXIT_OK
 
 
-def _cmd_doctor(_args) -> int:
-    print(report.doctor().render(), end="")
+def _cmd_doctor(args) -> int:
+    from . import report
+
+    caps = report.doctor()
+    if args.json:
+        print(json.dumps(caps.to_dict(), indent=2))
+    else:
+        print(caps.render(), end="")
     return EXIT_OK
 
 
 def _cmd_render(args) -> int:
+    from . import report
+
     reports = [report.load_report(p) for p in args.report]
     if args.region is not None and args.format != "svg":
         present = sorted({name for r in reports for name in report.report_regions(r)})
@@ -227,11 +246,11 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_thp(args) -> int:
-    fs = RealFs()
+    fs = hugepagectl.RealFs()
     if args.set_mode:
-        write_thp(fs, ThpMode(args.set_mode),
-                  allow_system_writes=args.allow_system_writes)
-    print(parse_thp(fs.read_text(THP_ENABLED_PATH)).value)
+        hugepagectl.write_thp(fs, hugepagectl.ThpMode(args.set_mode),
+                              allow_system_writes=args.allow_system_writes)
+    print(hugepagectl.parse_thp(fs.read_text(hugepagectl.THP_ENABLED_PATH)).value)
     return EXIT_OK
 
 
@@ -248,20 +267,25 @@ def main(argv: list[str] | None = None) -> int:
             "render": _cmd_render,
             "thp": _cmd_thp,
         }[args.cmd](args)
-    except report.WorkloadFailed as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if exc.partial is not None:
-            print(report.render_table(exc.partial), end="")
-        return EXIT_WORKLOAD
-    except report.CounterUnavailable as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        print("hint: pass --simulate-counters for a hardware-free run",
-              file=sys.stderr)
-        return EXIT_CAPABILITY
-    except (blockmesh.AllocationFailure, SystemWriteNotAllowed, OSError,
-            ValueError) as exc:
+    except (blockmesh.AllocationFailure, hugepagectl.SystemWriteNotAllowed,
+            OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPABILITY
+    except RuntimeError as exc:
+        # Only `run` raises report's errors, and it has imported report.
+        from . import report
+
+        if isinstance(exc, report.WorkloadFailed):
+            print(f"error: {exc}", file=sys.stderr)
+            if exc.partial is not None:
+                print(report.render_table(exc.partial), end="")
+            return EXIT_WORKLOAD
+        if isinstance(exc, report.CounterUnavailable):
+            print(f"error: {exc}", file=sys.stderr)
+            print("hint: pass --simulate-counters for a hardware-free run",
+                  file=sys.stderr)
+            return EXIT_CAPABILITY
+        raise
 
 
 if __name__ == "__main__":

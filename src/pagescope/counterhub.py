@@ -268,7 +268,8 @@ class RealOsBackend:
             try:
                 fd = cls._open_event(ev)
             except (UnsupportedEvent, PermissionDenied) as exc:
-                result[ev] = str(exc)
+                # The caller shows each reason beside its event's name.
+                result[ev] = str(exc).removeprefix(f"{EVENT_NAMES[ev]}: ")
             else:
                 os.close(fd)
                 result[ev] = "ok"

@@ -67,12 +67,6 @@ class CounterUnavailable(RuntimeError):
     pass
 
 
-WORKLOAD_PATTERNS = {
-    "block-sweep": blockmesh.TraversalPattern.BlockSweep,
-    "zone-sweep": blockmesh.TraversalPattern.ZoneSweep,
-    "sum2d": blockmesh.TraversalPattern.RepeatedSum2D,
-}
-
 EXTERNAL = "external"
 
 
@@ -110,7 +104,7 @@ class WorkloadSpec:
         if self.kind == EXTERNAL:
             if not self.argv:
                 raise ValueError("external workload needs an argv")
-        elif self.kind in WORKLOAD_PATTERNS:
+        elif self.kind in blockmesh.WORKLOAD_PATTERNS:
             if self.layout is None:
                 raise ValueError(f"workload {self.kind!r} needs a layout")
             if self.argv:
@@ -358,10 +352,9 @@ def _run_rep(workload, plan, mode, backend, events, now_s):
                 # wrapper tool is missing, which doctor() flags in advance.
                 raise WorkloadFailed(mode, 127) from exc
         else:
-            checksum = blockmesh.run_kernel(workload.layout,
-                                            WORKLOAD_PATTERNS[workload.kind],
-                                            workload.passes, workload.fill,
-                                            workload.alloc)
+            checksum = blockmesh.run_kernel(
+                workload.layout, blockmesh.WORKLOAD_PATTERNS[workload.kind],
+                workload.passes, workload.fill, workload.alloc)
         record = collector.region_end(name)
         t1 = now_s()
     if returncode != 0:
@@ -581,6 +574,12 @@ class CapabilityReport:
     tools: dict[str, bool]
     advisories: list[str]
     checklist: tuple[str, ...] = BOOT_PARAM_CHECKLIST
+
+    def to_dict(self) -> dict:
+        """JSON-ready fields: the THP mode as its value or None, the
+        checklist as a list."""
+        return {**asdict(self), "checklist": list(self.checklist),
+                "thp_mode": self.thp_mode.value if self.thp_mode else None}
 
     def render(self) -> str:
         lines = ["capability report"]

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -7,9 +8,11 @@ from pathlib import Path
 import pytest
 
 import pagescope
+from conftest import meminfo_text
+from pagescope import hugepagectl, report, tlbsim
 from pagescope.cli import _build_run_config, build_parser, main
 from pagescope.counterhub import EVENT_NAMES, EventId
-from pagescope.hugepagectl import THP_ENABLED_PATH
+from pagescope.hugepagectl import MEMINFO_PATH, PERF_PARANOID_PATH, THP_ENABLED_PATH
 
 
 def test_trace_then_tlbsim_pipeline(tmp_path, capsys):
@@ -102,6 +105,26 @@ def test_doctor_runs_and_reports(capsys):
     assert "provisioning checklist" in out
 
 
+@pytest.mark.parametrize("thp_text, thp_mode", [("always [madvise] never", "madvise"),
+                                                (None, None)])
+def test_doctor_json_is_one_object_of_the_report_fields(monkeypatch, capsys,
+                                                         thp_text, thp_mode):
+    files = {MEMINFO_PATH: meminfo_text(), PERF_PARANOID_PATH: "2\n"}
+    if thp_text is not None:
+        files[THP_ENABLED_PATH] = thp_text
+    real_doctor = report.doctor
+    monkeypatch.setattr(report, "doctor", lambda: real_doctor(
+        fs=hugepagectl.FixtureFs(files), which=lambda tool: None,
+        probe=lambda: {ev: "No such file or directory" for ev in EventId}))
+    assert main(["doctor", "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert list(data) == [f.name for f in dataclasses.fields(report.CapabilityReport)]
+    assert data["thp_mode"] == thp_mode
+    assert data["checklist"] == list(hugepagectl.BOOT_PARAM_CHECKLIST)
+    assert data["counter_state"] == {name: "No such file or directory"
+                                     for name in EVENT_NAMES.values()}
+
+
 def test_render_formats(tmp_path, capsys):
     main(_sim_run_args(tmp_path, label="render-me"))
     capsys.readouterr()
@@ -170,11 +193,12 @@ def test_unallocatable_layout_is_one_line_error(tmp_path, capsys, argv):
     assert not list(tmp_path.iterdir())
 
 
-def test_thp_without_sysfs_is_capability_failure(tmp_path, capsys):
-    if Path(THP_ENABLED_PATH).exists():
-        pytest.skip("host exposes THP sysfs")
+def test_thp_without_sysfs_is_capability_failure(monkeypatch, capsys):
+    fs = hugepagectl.FixtureFs({})  # a host without the THP file
+    monkeypatch.setattr(hugepagectl, "RealFs", lambda: fs)
     assert main(["thp"]) == 3
     assert main(["thp", "--set", "always"]) == 3  # refused: no opt-in flag
+    assert fs.written == []
 
 
 def test_events_flag_limits_event_set(tmp_path, capsys):
@@ -395,15 +419,56 @@ def test_bad_sizes_name_the_token(tmp_path, capsys, sizes, message):
     assert capsys.readouterr().err == message
 
 
-def _fresh_main(argv):
-    """(exit code, stdout, stderr) of `main(argv)` in a new interpreter."""
+def _fresh(code, *args):
+    """(exit code, stdout, stderr) of Python `code` in a new interpreter."""
     src = str(Path(pagescope.__file__).parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys; from pagescope.cli import main; sys.exit(main(sys.argv[1:]))"
-    done = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env,
                           capture_output=True, text=True)
     return done.returncode, done.stdout, done.stderr
+
+
+def _fresh_main(argv):
+    """(exit code, stdout, stderr) of `main(argv)` in a new interpreter."""
+    return _fresh("import sys; from pagescope.cli import main; "
+                  "sys.exit(main(sys.argv[1:]))", *argv)
+
+
+# What `run`, `render` and `doctor` load and the replay commands never need.
+EXPERIMENT_MODULES = ("pagescope.report", "pagescope.render", "pagescope.metrics",
+                      "pagescope.counterhub", "hashlib", "subprocess", "statistics")
+
+
+def test_trace_and_tlbsim_never_load_the_experiment_stack(tmp_path):
+    code = ("import sys; from pagescope.cli import main; trace = sys.argv[1]; "
+            "codes = [main(['trace', '--layout', '2,4,4,2,2', '--out', trace]), "
+            "main(['tlbsim', '--trace', trace])]; "
+            "print(codes, sorted(set(sys.argv[2:]) & set(sys.modules)))")
+    returncode, out, err = _fresh(code, str(tmp_path / "t.trace"), *EXPERIMENT_MODULES)
+    assert (returncode, err) == (0, "")
+    assert out.splitlines()[-1] == "[0, 0] []"
+
+
+def test_truncated_trace_is_one_line_error_in_a_fresh_interpreter(tmp_path):
+    path = tmp_path / "t.trace"
+    main(["trace", "--layout", "2,4,4,2,2", "--out", str(path)])
+    path.write_bytes(path.read_bytes()[:-3])
+    code, out, err = _fresh_main(["tlbsim", "--trace", str(path)])
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_unexpected_runtime_error_is_not_an_exit_code(tmp_path, monkeypatch):
+    trace = str(tmp_path / "t.trace")
+    main(["trace", "--layout", "2,4,4,2,2", "--out", trace])
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("replay bug")
+
+    monkeypatch.setattr(tlbsim, "page_size_sweep", fail)
+    with pytest.raises(RuntimeError, match="replay bug"):
+        main(["tlbsim", "--trace", trace])
 
 
 def test_repeated_main_calls_match_fresh_runs(tmp_path, capsys):

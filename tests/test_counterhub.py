@@ -253,4 +253,7 @@ def test_realos_probe_reports_per_event(monkeypatch):
     state = ch.RealOsBackend.probe()
     assert set(state) == set(EventId)
     assert "No such file" in state[EventId.SveInstRetired]
+    assert "perf_event_paranoid" in state[EventId.CpuCycles]
     assert all("ok" != msg for msg in state.values())
+    # doctor prints each reason after its event's name; the reason omits it.
+    assert all(EVENT_NAMES[ev] not in msg for ev, msg in state.items())
