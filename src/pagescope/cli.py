@@ -97,9 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--passes", type=int, default=1)
     tr.add_argument("--out", required=True)
 
-    doc = sub.add_parser("doctor", help="report host capabilities (read-only)")
-    doc.add_argument("--json", action="store_true",
-                     help="print the report as one JSON object")
+    sub.add_parser("doctor", help="report host capabilities (read-only)")
 
     ren = sub.add_parser("render", help="render a saved report")
     ren.add_argument("--report", required=True, action="append",
@@ -207,14 +205,10 @@ def _cmd_trace(args) -> int:
     return EXIT_OK
 
 
-def _cmd_doctor(args) -> int:
+def _cmd_doctor(_args) -> int:
     from . import report
 
-    caps = report.doctor()
-    if args.json:
-        print(json.dumps(caps.to_dict(), indent=2))
-    else:
-        print(caps.render(), end="")
+    print(report.doctor().render(), end="")
     return EXIT_OK
 
 

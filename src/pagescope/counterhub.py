@@ -47,11 +47,21 @@ class UnknownEventName(ValueError):
     pass
 
 
-class UnsupportedEvent(RuntimeError):
+class _EventError(RuntimeError):
+    """A counter that cannot be opened. The message leads with the event's
+    name when one is given; `reason` is the message without it."""
+
+    def __init__(self, reason: str, event: EventId | None = None):
+        super().__init__(reason if event is None
+                         else f"{EVENT_NAMES[event]}: {reason}")
+        self.reason = reason
+
+
+class UnsupportedEvent(_EventError):
     """The backend cannot program this event (hardware or kernel limit)."""
 
 
-class PermissionDenied(RuntimeError):
+class PermissionDenied(_EventError):
     """OS counter access forbidden (perf_event_paranoid, capabilities)."""
 
 
@@ -255,10 +265,9 @@ class RealOsBackend:
         except OSError as exc:
             if exc.errno in (13, 1):  # EACCES, EPERM
                 raise PermissionDenied(
-                    f"{EVENT_NAMES[event]}: {exc.strerror}; check "
-                    "kernel.perf_event_paranoid") from exc
-            raise UnsupportedEvent(
-                f"{EVENT_NAMES[event]}: {exc.strerror}") from exc
+                    f"{exc.strerror}; check kernel.perf_event_paranoid",
+                    event) from exc
+            raise UnsupportedEvent(exc.strerror, event) from exc
 
     @classmethod
     def probe(cls, events: frozenset[EventId] = ALL_EVENTS) -> dict[EventId, str]:
@@ -269,7 +278,7 @@ class RealOsBackend:
                 fd = cls._open_event(ev)
             except (UnsupportedEvent, PermissionDenied) as exc:
                 # The caller shows each reason beside its event's name.
-                result[ev] = str(exc).removeprefix(f"{EVENT_NAMES[ev]}: ")
+                result[ev] = exc.reason
             else:
                 os.close(fd)
                 result[ev] = "ok"

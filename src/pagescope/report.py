@@ -575,12 +575,6 @@ class CapabilityReport:
     advisories: list[str]
     checklist: tuple[str, ...] = BOOT_PARAM_CHECKLIST
 
-    def to_dict(self) -> dict:
-        """JSON-ready fields: the THP mode as its value or None, the
-        checklist as a list."""
-        return {**asdict(self), "checklist": list(self.checklist),
-                "thp_mode": self.thp_mode.value if self.thp_mode else None}
-
     def render(self) -> str:
         lines = ["capability report"]
         lines.append(f"  THP mode:            "

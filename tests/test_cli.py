@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import subprocess
@@ -8,11 +7,10 @@ from pathlib import Path
 import pytest
 
 import pagescope
-from conftest import meminfo_text
-from pagescope import hugepagectl, report, tlbsim
+from pagescope import hugepagectl, tlbsim
 from pagescope.cli import _build_run_config, build_parser, main
 from pagescope.counterhub import EVENT_NAMES, EventId
-from pagescope.hugepagectl import MEMINFO_PATH, PERF_PARANOID_PATH, THP_ENABLED_PATH
+from pagescope.hugepagectl import THP_ENABLED_PATH
 
 
 def test_trace_then_tlbsim_pipeline(tmp_path, capsys):
@@ -103,26 +101,6 @@ def test_doctor_runs_and_reports(capsys):
     out = capsys.readouterr().out
     assert "capability report" in out
     assert "provisioning checklist" in out
-
-
-@pytest.mark.parametrize("thp_text, thp_mode", [("always [madvise] never", "madvise"),
-                                                (None, None)])
-def test_doctor_json_is_one_object_of_the_report_fields(monkeypatch, capsys,
-                                                         thp_text, thp_mode):
-    files = {MEMINFO_PATH: meminfo_text(), PERF_PARANOID_PATH: "2\n"}
-    if thp_text is not None:
-        files[THP_ENABLED_PATH] = thp_text
-    real_doctor = report.doctor
-    monkeypatch.setattr(report, "doctor", lambda: real_doctor(
-        fs=hugepagectl.FixtureFs(files), which=lambda tool: None,
-        probe=lambda: {ev: "No such file or directory" for ev in EventId}))
-    assert main(["doctor", "--json"]) == 0
-    data = json.loads(capsys.readouterr().out)
-    assert list(data) == [f.name for f in dataclasses.fields(report.CapabilityReport)]
-    assert data["thp_mode"] == thp_mode
-    assert data["checklist"] == list(hugepagectl.BOOT_PARAM_CHECKLIST)
-    assert data["counter_state"] == {name: "No such file or directory"
-                                     for name in EVENT_NAMES.values()}
 
 
 def test_render_formats(tmp_path, capsys):
@@ -450,15 +428,6 @@ def test_trace_and_tlbsim_never_load_the_experiment_stack(tmp_path):
     assert out.splitlines()[-1] == "[0, 0] []"
 
 
-def test_truncated_trace_is_one_line_error_in_a_fresh_interpreter(tmp_path):
-    path = tmp_path / "t.trace"
-    main(["trace", "--layout", "2,4,4,2,2", "--out", str(path)])
-    path.write_bytes(path.read_bytes()[:-3])
-    code, out, err = _fresh_main(["tlbsim", "--trace", str(path)])
-    assert (code, out) == (3, "")
-    assert err.startswith("error: ") and err.count("\n") == 1
-
-
 def test_unexpected_runtime_error_is_not_an_exit_code(tmp_path, monkeypatch):
     trace = str(tmp_path / "t.trace")
     main(["trace", "--layout", "2,4,4,2,2", "--out", trace])
@@ -474,9 +443,13 @@ def test_unexpected_runtime_error_is_not_an_exit_code(tmp_path, monkeypatch):
 def test_repeated_main_calls_match_fresh_runs(tmp_path, capsys):
     trace = str(tmp_path / "t.trace")
     main(["trace", "--layout", "2,4,4,2,2", "--pattern", "zone", "--out", trace])
+    truncated = tmp_path / "truncated.trace"
+    main(["trace", "--layout", "2,4,4,2,2", "--out", str(truncated)])
+    truncated.write_bytes(truncated.read_bytes()[:-3])
     calls = [(["tlbsim", "--trace", trace, "--sizes", "2M"], 0),
              (["tlbsim", "--trace", trace], 0),
              (["tlbsim", "--trace", trace, "--entries", "x"], 3),
+             (["tlbsim", "--trace", str(truncated)], 3),
              (["tlbsim", "--trace", trace, "--entries", "16", "--assoc", "4"], 0)]
     capsys.readouterr()
     for argv, code in calls:

@@ -230,7 +230,8 @@ def test_realos_permission_denied(monkeypatch):
         raise OSError(13, "Permission denied")
 
     monkeypatch.setattr(ch, "_perf_event_open", deny)
-    with pytest.raises(PermissionDenied):
+    with pytest.raises(PermissionDenied, match="^DTLB-LOAD-MISSES: Permission "
+                       "denied; check kernel.perf_event_paranoid$"):
         open_session(ch.RealOsBackend(), {EventId.DtlbLoadMisses})
 
 
@@ -239,7 +240,8 @@ def test_realos_unsupported_event(monkeypatch):
         raise OSError(2, "No such file or directory")
 
     monkeypatch.setattr(ch, "_perf_event_open", missing)
-    with pytest.raises(UnsupportedEvent):
+    with pytest.raises(UnsupportedEvent,
+                       match="^SVE_INST_RETIRED: No such file or directory$"):
         open_session(ch.RealOsBackend(), {EventId.SveInstRetired})
 
 
