@@ -12,7 +12,7 @@ Subpackages by job:
   render      - text tables, CSV and SVG bar charts of reports
   cli         - the `pagescope` command; `trace` and `tlbsim` load only
                 blockmesh, tlbsim and hugepagectl
-  _kernels    - the LRU replay loop
+  _kernels    - only NUMBA_ENABLED, which the benchmark's provenance reads
 """
 
 __version__ = "0.1.0"

@@ -333,11 +333,9 @@ class MeminfoMonitor:
     parsing is pure so the thread shares nothing mutable with the workload.
     """
 
-    def __init__(self, fs, cadence_s: float = DEFAULT_CADENCE_S,
-                 path: str = MEMINFO_PATH):
+    def __init__(self, fs, cadence_s: float = DEFAULT_CADENCE_S):
         self.fs = fs
         self.cadence_s = cadence_s
-        self.path = path
         self._snaps: list[MeminfoSnapshot] = []
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
@@ -345,7 +343,7 @@ class MeminfoMonitor:
         self.dropped = 0  # of those, reads that failed
 
     def poll_once(self, captured_at: int | None = None) -> MeminfoSnapshot:
-        return parse_meminfo(self.fs.read_text(self.path), captured_at)
+        return parse_meminfo(self.fs.read_text(MEMINFO_PATH), captured_at)
 
     def sample(self) -> MeminfoSnapshot | None:
         """One poll, or None when meminfo cannot be read or parsed; a

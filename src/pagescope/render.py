@@ -13,6 +13,8 @@ from . import metrics as m
 COL_WITHOUT = "Without HPs"
 COL_WITH = "With HPs"
 
+CHART_TITLE = "With/without huge pages: measure ratios"
+
 _BAR_COLORS = ("#4472c4", "#d9534f", "#70ad47", "#ffc000", "#7030a0", "#2aa3a3")
 
 
@@ -66,8 +68,7 @@ def ratio_chart_csv(measure_labels: list[str], cases: list[str],
 
 
 def ratio_chart_svg(measure_labels: list[str], cases: list[str],
-                    ratios: dict[tuple[str, str], float | None],
-                    title: str = "With/without huge pages: measure ratios") -> str:
+                    ratios: dict[tuple[str, str], float | None]) -> str:
     """Grouped bar chart: one group per measure, one bar per case, with a
     horizontal guide line at ratio 1. Bar heights come from the same
     formatted strings the companion CSV prints."""
@@ -87,7 +88,7 @@ def ratio_chart_svg(measure_labels: list[str], cases: list[str],
            f'viewBox="0 0 {width} {height}" font-family="sans-serif">',
            f'  <rect width="{width}" height="{height}" fill="#ffffff"/>',
            f'  <text x="{width / 2}" y="22" text-anchor="middle" '
-           f'font-size="15" fill="#333">{title}</text>']
+           f'font-size="15" fill="#333">{CHART_TITLE}</text>']
 
     for tick in range(5):
         v = top * tick / 4

@@ -285,7 +285,6 @@ def _run_one_mode(config: ExperimentConfig, role: str,
                   fs) -> tuple[dict, MeminfoMonitor]:
     """The role's run dict, and the monitor that counted its meminfo samples."""
     mode = config.baseline if role == "baseline" else config.treatment
-    plan = plan_launch(mode)
     backend = _make_backend(config, role)
     simulated = config.backend == "simulated"
 
@@ -303,8 +302,8 @@ def _run_one_mode(config: ExperimentConfig, role: str,
     rep_elapsed: list[float] = []
     try:
         for _ in range(config.repetitions):
-            record, elapsed, checksum = _run_rep(config.workload, plan, mode,
-                                                 backend, config.events, now_s)
+            record, elapsed, checksum = _run_rep(config.workload, mode, backend,
+                                                 config.events, now_s)
             rep_records.append(record)
             rep_elapsed.append(elapsed)
             if before is not None and not threaded:
@@ -327,13 +326,13 @@ def _run_one_mode(config: ExperimentConfig, role: str,
     return run, monitor
 
 
-def _run_rep(workload, plan, mode, backend, events, now_s):
+def _run_rep(workload, mode, backend, events, now_s):
     """One repetition: t0, region begin, the kernel or the command, region
     end, t1. Returns (record, elapsed seconds, checksum or None).
 
     In-process kernels ignore the launch plan's env/wrapper: the plan
     applies to spawned commands, while this process's mapping policy is
-    whatever the host gave us. The plan still gets recorded in the config.
+    whatever the host gave us.
     """
     name = workload.region_name
     returncode, checksum = 0, None
@@ -342,6 +341,7 @@ def _run_rep(workload, plan, mode, backend, events, now_s):
         t0 = now_s()
         collector.region_begin(name)
         if workload.kind == EXTERNAL:
+            plan = plan_launch(mode)
             try:
                 returncode = subprocess.run(
                     plan.command(list(workload.argv)),
@@ -636,7 +636,7 @@ def doctor(fs=None, which=shutil.which, probe=None) -> CapabilityReport:
     try:
         counter_state = {EVENT_NAMES[ev]: msg for ev, msg in probe().items()}
     except Exception as exc:  # probe itself may be impossible off-Linux
-        counter_state = {"probe": f"failed: {exc}"}
+        advisories.append(f"counter probe failed: {exc}")
     denied = [name for name, msg in counter_state.items() if msg != "ok"]
     if denied:
         advisories.append("counters not programmable: " + ", ".join(sorted(denied)))

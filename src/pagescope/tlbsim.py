@@ -55,11 +55,11 @@ claimed period that fails is read a second time, as one unverified pass.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import _kernels
 from .blockmesh import CHUNK, AddressTrace
 
 PAGE_4K = 4 * 1024
@@ -200,6 +200,24 @@ def _distinct(pages: np.ndarray) -> int:
     return int(ordered.size and 1 + np.count_nonzero(ordered[1:] != ordered[:-1]))
 
 
+def lru_misses(pages: np.ndarray, sets: int, ways: int) -> int:
+    """Set-associative LRU replay, interpreted: one OrderedDict per set;
+    move-to-end on hit, popitem(last=False) evicts the least recently used
+    page."""
+    tlb = [OrderedDict() for _ in range(sets)]
+    misses = 0
+    for page in pages.tolist():
+        entry = tlb[page % sets]
+        if page in entry:
+            entry.move_to_end(page)
+        else:
+            misses += 1
+            if len(entry) >= ways:
+                entry.popitem(last=False)
+            entry[page] = None
+    return misses
+
+
 def simulate(config: TlbConfig, trace) -> TlbStats:
     """Replay a trace: page id = offset / page size, LRU within each set,
     miss on absence with eviction of the set's least recently used entry.
@@ -225,12 +243,12 @@ def simulate(config: TlbConfig, trace) -> TlbStats:
         later = int(per_set[per_set > config.ways].sum())
         return TlbStats(runs.accesses, pages.size + (runs.passes - 1) * later,
                         distinct)
-    misses = _kernels.lru_misses(pages, config.sets, config.ways)
+    misses = lru_misses(pages, config.sets, config.ways)
     if runs.passes > 1:
         # The second pass's first run continues the first's last one if
         # they share a page.
         two = np.concatenate((pages, pages[int(pages[0] == pages[-1]):]))
-        m2 = _kernels.lru_misses(two, config.sets, config.ways)
+        m2 = lru_misses(two, config.sets, config.ways)
         misses += (runs.passes - 1) * (m2 - misses)
     return TlbStats(runs.accesses, int(misses), distinct)
 

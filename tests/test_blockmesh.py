@@ -11,8 +11,6 @@ from pagescope.blockmesh import (
     IndexOutOfBounds,
     TraversalPattern,
     UnkLayout,
-    _covers,
-    _first_touch_runs,
     _run_views,
     _single_pass_runs,
     address_of,
@@ -218,6 +216,8 @@ def test_checksum_linear_in_passes():
 # A non-square plane with nvar > 1: sum2d's column sweep covers its row runs
 # at stride nvar.
 PLANE_3VAR = UnkLayout.simple(3, 5, 7, 1, 2)
+# Guard cells (zone bounds 0 to 4) with nvar > 1.
+GUARDED_3VAR = UnkLayout.with_guards(2, 3, 2, guards=1)
 
 
 @pytest.mark.parametrize("pattern", list(TraversalPattern))
@@ -225,7 +225,7 @@ def test_checksum_identical_across_alloc_strategies(monkeypatch, pattern):
     # A demand array starts as NaN, so an element the kernel reads before
     # it writes it shows in the checksum.
     monkeypatch.setattr(np, "empty", lambda *a, **k: np.full(*a, np.nan, **k))
-    for lay in (SMALL, PLANE_3VAR):
+    for lay in (SMALL, PLANE_3VAR, GUARDED_3VAR):
         eager = run_kernel(lay, pattern, 2, 1.5, alloc="eager")
         demand = run_kernel(lay, pattern, 2, 1.5, alloc="demand")
         assert eager == demand
@@ -266,38 +266,6 @@ def test_demand_writes_each_element_once_at_first_touch(monkeypatch, pattern, al
     reads = [("read", run)
              for run in range(len(_single_pass_runs(PLANE_3VAR, pattern)))]
     assert log == [("write", 0)] * (alloc == "demand") + reads * 3
-
-
-def test_sum2d_first_pass_writes_only_its_column_sweep():
-    runs = _single_pass_runs(UnkLayout.simple(1, 2048, 2048, 1, 1),
-                             TraversalPattern.RepeatedSum2D)
-    assert _first_touch_runs(runs) == [True] + [False] * 2048
-
-
-def _elements(first, count, stride):
-    return set(range(first, first + count * stride, stride))
-
-
-_small_runs = st.tuples(st.integers(0, 40), st.integers(1, 8), st.integers(1, 12))
-
-
-@settings(max_examples=500, deadline=None)
-@given(_small_runs, _small_runs)
-def test_covers_is_element_inclusion(outer, inner):
-    assert _covers(outer, inner) == (_elements(*inner) <= _elements(*outer))
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(_small_runs, min_size=1, max_size=6))
-def test_first_touch_runs_skip_only_elements_already_written(runs):
-    writes = _first_touch_runs(runs)
-    assert writes[0]
-    written = set()
-    for run, write in zip(runs, writes):
-        if write:
-            written |= _elements(*run)
-        else:
-            assert _elements(*run) <= written
 
 
 def test_run_kernel_allocates_no_gather_temporary():

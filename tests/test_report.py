@@ -376,6 +376,16 @@ def test_doctor_flags_denied_counters():
     assert any("not programmable" in a for a in cap.advisories)
 
 
+def test_doctor_reports_a_failed_probe_apart_from_the_events():
+    def probe():
+        raise OSError("no perf")
+
+    cap = doctor(fs=_good_fs(), which=lambda t: "/usr/bin/x", probe=probe)
+    assert "counter probe failed: no perf" in cap.advisories
+    assert "counter probe:" not in cap.render()
+    assert not any("counters not programmable" in a for a in cap.advisories)
+
+
 def test_doctor_flags_missing_tools_and_never_writes():
     fs = _good_fs()
     cap = doctor(fs=fs, which=lambda tool: None, probe=_probe_ok)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pagescope import _kernels, blockmesh, tlbsim
+from pagescope import blockmesh, tlbsim
 from pagescope.blockmesh import (
     AddressTrace,
     TraversalPattern,
@@ -219,7 +219,7 @@ def _full_replay(config: TlbConfig, trace) -> TlbStats:
     """Every access through the LRU kernel: no collapse, no fold."""
     offsets = np.asarray(getattr(trace, "offsets", trace), dtype=np.uint64)
     pages = (offsets // np.uint64(config.page_size_bytes)).astype(np.int64)
-    misses = _kernels.lru_misses(pages, config.sets, config.ways)
+    misses = tlbsim.lru_misses(pages, config.sets, config.ways)
     return TlbStats(int(pages.size), misses, int(np.unique(pages).size))
 
 
@@ -253,7 +253,7 @@ def test_distinct_page_passes_equal_full_replay_without_it(one_pass, sets, ways,
     config = TlbConfig(entries=sets * ways, associativity=ways)
     trace = _tiled(one_pass, passes)
     expected = _full_replay(config, trace)
-    with mock.patch.object(_kernels, "lru_misses",
+    with mock.patch.object(tlbsim, "lru_misses",
                            side_effect=AssertionError("replayed")):
         assert simulate(config, trace) == expected
 
@@ -298,13 +298,13 @@ def test_traces_without_a_verified_period_equal_full_replay(make_trace):
 def replayed(monkeypatch):
     """Lengths of the page arrays simulate() hands to the LRU kernel."""
     lengths = []
-    kernel = _kernels.lru_misses
+    kernel = tlbsim.lru_misses
 
     def recording(pages, sets, ways):
         lengths.append(int(pages.size))
         return kernel(pages, sets, ways)
 
-    monkeypatch.setattr(_kernels, "lru_misses", recording)
+    monkeypatch.setattr(tlbsim, "lru_misses", recording)
     return lengths
 
 
