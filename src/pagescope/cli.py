@@ -72,7 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--layout", default=None,
                      help=f"nvar,ni,nj,nk,blocks (default {DEFAULT_LAYOUT})")
     run.add_argument("--n", type=int, default=None,
-                     help="square side N: layout 1,N,N,1,1 (for the sum2d workload)")
+                     help="square side N: layout 1,N,N,1,1 (for the sum2d workload; "
+                          "not with --layout)")
     run.add_argument("--passes", type=int, default=None)
     run.add_argument("--alloc", choices=blockmesh.ALLOC_STRATEGIES, default=None)
     run.add_argument("--repetitions", type=int, default=None)
@@ -141,6 +142,8 @@ def _build_run_config(args):
          "workload": {"kind": "zone-sweep",
                       "layout": _parse_layout(DEFAULT_LAYOUT).to_dict()}}
     try:
+        if args.n is not None and args.layout is not None:
+            raise ValueError("--n and --layout both give the layout; pass one")
         if args.config:
             d.update(_object(json.loads(Path(args.config).read_text()), args.config))
         layout = None

@@ -10,13 +10,11 @@ byte for byte.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import platform
 import shutil
 import statistics
-import subprocess
 import sys
 import time
 from dataclasses import asdict, astuple, dataclass, fields
@@ -52,6 +50,17 @@ from .hugepagectl import (
 )
 from .metrics import (LABEL_TIMER, MEASURE_LABELS, CpuSpec, DerivedMetrics, RatioRow,
                       derive, elapsed_timer, metrics_cells, ratios)
+
+# hashlib loads OpenSSL's libcrypto, megabytes of resident memory, into a
+# process whose memory is what it measures; the interpreter's own SHA-256
+# module gives the same digest without it.
+try:
+    from _sha2 import sha256 as _sha256  # CPython >= 3.12
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # CPython 3.10-3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 
 class WorkloadFailed(RuntimeError):
@@ -109,6 +118,10 @@ class WorkloadSpec:
                 raise ValueError(f"workload {self.kind!r} needs a layout")
             if self.argv:
                 raise ValueError(f"workload {self.kind!r} takes no argv")
+            if self.layout.elem_bytes != 8:
+                # run_kernel sums float64: another size would be recorded, not run.
+                raise ValueError(f"workload {self.kind!r} sums 8-byte doubles; "
+                                 f"layout elem_bytes is {self.layout.elem_bytes}")
         else:
             raise ValueError(f"unknown workload kind {self.kind!r}")
         if type(self.passes) is not int or self.passes < 1:
@@ -240,7 +253,7 @@ class ExperimentConfig:
 
     def config_hash(self) -> str:
         canon = json.dumps(self.to_dict(), sort_keys=True).encode()
-        return hashlib.sha256(canon).hexdigest()[:12]
+        return _sha256(canon).hexdigest()[:12]
 
 
 def _median_metrics(per_rep: list[DerivedMetrics]) -> DerivedMetrics:
@@ -336,6 +349,10 @@ def _run_rep(workload, mode, backend, events, now_s):
     """
     name = workload.region_name
     returncode, checksum = 0, None
+    if workload.kind == EXTERNAL:
+        # Only a spawned command needs it. Imported before t0, so the
+        # first import's milliseconds land in no role's timed region.
+        import subprocess
     with open_session(backend, events) as session:
         collector = RegionCollector(session)
         t0 = now_s()

@@ -234,6 +234,9 @@ def _config_file(content):
                                "fill": float("nan")}}),
     _config_file({"workload": {"kind": "sum2d", "layout": PLANE_8, "fill": 10 ** 400}}),
     _config_file({"workload": {"kind": "sum2d", "layout": PLANE_8, "alloc": "lazy"}}),
+    _config_file({"workload": {"kind": "block-sweep",
+                               "layout": {**PLANE_8, "elem_bytes": 4}}}),
+    ["--n", "8", "--layout", "1,4,4,1,1"],
 ], ids=["n-0", "passes-0", "repetitions-0", "short-layout", "missing-config",
         "config-not-object", "config-workload-not-object",
         "config-layout-incomplete", "config-increments-not-object",
@@ -244,7 +247,7 @@ def _config_file(content):
         "config-argv-with-builtin-kind", "freq-nan", "freq-inf",
         "config-freq-nan", "config-fill-null", "config-fill-string",
         "config-fill-bool", "config-fill-nan", "config-fill-huge-int",
-        "config-alloc-unknown"])
+        "config-alloc-unknown", "config-elem-bytes-4", "n-with-layout"])
 def test_bad_run_flags_are_bad_configuration(tmp_path, capsys, flags):
     if callable(flags):
         flags = flags(tmp_path)
@@ -426,6 +429,19 @@ def test_trace_and_tlbsim_never_load_the_experiment_stack(tmp_path):
     returncode, out, err = _fresh(code, str(tmp_path / "t.trace"), *EXPERIMENT_MODULES)
     assert (returncode, err) == (0, "")
     assert out.splitlines()[-1] == "[0, 0] []"
+
+
+def test_builtin_run_loads_neither_openssl_nor_subprocess(tmp_path):
+    # The run process measures its own memory: hashing the config and
+    # spawning nothing must leave both out of it.
+    code = ("import sys; from pagescope.cli import main; "
+            "code = main(['run', '--simulate-counters', '--workload', 'sum2d', "
+            "'--n', '8', '--out', sys.argv[1]]); "
+            "print(code, sorted({'_hashlib', 'subprocess'} & set(sys.modules)))")
+    returncode, out, err = _fresh(code, str(tmp_path))
+    assert returncode == 0, err
+    assert out.splitlines()[-1] == "0 []"
+    assert len(list(tmp_path.glob("report-*.json"))) == 1
 
 
 def test_unexpected_runtime_error_is_not_an_exit_code(tmp_path, monkeypatch):
