@@ -135,10 +135,10 @@ def _build_run_config(args):
     flag that was given, built in one step; a bad flag value or config file
     raises ValueError "bad configuration: ..."."""
     from . import report
-    from .counterhub import EVENT_NAMES, default_events
+    from .counterhub import default_events
 
     d = {"backend": "real",
-         "events": sorted(EVENT_NAMES[ev] for ev in default_events()),
+         "events": sorted(ev.value for ev in default_events()),
          "workload": {"kind": "zone-sweep",
                       "layout": _parse_layout(DEFAULT_LAYOUT).to_dict()}}
     try:

@@ -1,10 +1,13 @@
 """Hardware-counter sessions with named, nestable region attribution.
 
-A session reads a fixed set of cumulative event counters from a backend
-(the OS perf interface, or a deterministic simulated backend for desk-scale
-testing). A RegionCollector brackets code with begin/end calls and merges
-the counter deltas into per-region records, PAPI-style: nesting is allowed
-and attribution is inclusive (a parent's totals include its children).
+An event is one EventId member whose value is its platform name
+(`EventId("DTLB-LOAD-MISSES")` looks one up). A session reads a fixed set
+of cumulative event counters from a backend (the OS perf interface, or a
+deterministic simulated backend for desk-scale testing); a reading is a
+plain `dict[EventId, int]`. A RegionCollector brackets code with begin/end
+calls and merges the counter deltas into per-region records, PAPI-style:
+nesting is allowed, attribution is inclusive (a parent's totals include its
+children), and repeated regions of one name merge into one record.
 """
 
 from __future__ import annotations
@@ -14,37 +17,33 @@ import enum
 import os
 import platform
 import struct
-from dataclasses import dataclass, field
-
-
-class EventId(enum.Enum):
-    CpuCycles = "cpu-cycles"
-    CacheMisses = "cache-misses"
-    DtlbLoadMisses = "dtlb-load-misses"
-    SveInstRetired = "sve-inst-retired"
-    StalledCyclesBackend = "stalled-cycles-backend"
-    StalledCyclesFrontend = "stalled-cycles-frontend"
-
-
-# Platform event-name strings, bit-exact: used in config files and report labels.
-EVENT_NAMES: dict[EventId, str] = {
-    EventId.CpuCycles: "PERF_COUNT_HW_CPU_CYCLES",
-    EventId.CacheMisses: "PERF_COUNT_HW_CACHE_MISSES",
-    EventId.DtlbLoadMisses: "DTLB-LOAD-MISSES",
-    EventId.SveInstRetired: "SVE_INST_RETIRED",
-    EventId.StalledCyclesBackend: "PERF_COUNT_HW_STALLED_CYCLES_BACKEND",
-    EventId.StalledCyclesFrontend: "PERF_COUNT_HW_STALLED_CYCLES_FRONTEND",
-}
-
-NAME_TO_EVENT: dict[str, EventId] = {name: ev for ev, name in EVENT_NAMES.items()}
-
-ALL_EVENTS: frozenset[EventId] = frozenset(EventId)
-
-PAPI_EVENTS_ENV = "PAPI_EVENTS"
+from dataclasses import dataclass
 
 
 class UnknownEventName(ValueError):
     pass
+
+
+class EventId(enum.Enum):
+    """A counter event. Its value is the platform event name, bit-exact:
+    the spelling config files, PAPI_EVENTS and report labels use."""
+
+    CpuCycles = "PERF_COUNT_HW_CPU_CYCLES"
+    CacheMisses = "PERF_COUNT_HW_CACHE_MISSES"
+    DtlbLoadMisses = "DTLB-LOAD-MISSES"
+    SveInstRetired = "SVE_INST_RETIRED"
+    StalledCyclesBackend = "PERF_COUNT_HW_STALLED_CYCLES_BACKEND"
+    StalledCyclesFrontend = "PERF_COUNT_HW_STALLED_CYCLES_FRONTEND"
+
+    @classmethod
+    def _missing_(cls, value):
+        # EventId(name) is the one lookup by name; an unknown one says so.
+        raise UnknownEventName(f"unknown event name: {value!r}")
+
+
+ALL_EVENTS: frozenset[EventId] = frozenset(EventId)
+
+PAPI_EVENTS_ENV = "PAPI_EVENTS"
 
 
 class _EventError(RuntimeError):
@@ -53,7 +52,7 @@ class _EventError(RuntimeError):
 
     def __init__(self, reason: str, event: EventId | None = None):
         super().__init__(reason if event is None
-                         else f"{EVENT_NAMES[event]}: {reason}")
+                         else f"{event.value}: {reason}")
         self.reason = reason
 
 
@@ -89,21 +88,11 @@ def parse_event_names(spec: str) -> frozenset[EventId]:
     events = set()
     for token in spec.split(","):
         token = token.strip()
-        if not token:
-            continue
-        if token not in NAME_TO_EVENT:
-            raise UnknownEventName(f"unknown event name: {token!r}")
-        events.add(NAME_TO_EVENT[token])
+        if token:
+            events.add(EventId(token))
     if not events:
         raise UnknownEventName("empty event set")
     return frozenset(events)
-
-
-@dataclass(frozen=True)
-class CounterSample:
-    """Cumulative counter values at one instant."""
-
-    values: dict[EventId, int]
 
 
 @dataclass
@@ -121,17 +110,6 @@ class RegionRecord:
         for ev, v in other.totals.items():
             totals[ev] = totals.get(ev, 0) + v
         return RegionRecord(self.name, self.region_count + other.region_count, totals)
-
-
-def aggregate(records: list[RegionRecord]) -> dict[str, RegionRecord]:
-    """Merge records with equal names; distinct names pass through."""
-    out: dict[str, RegionRecord] = {}
-    for rec in records:
-        if rec.name in out:
-            out[rec.name] = out[rec.name].merged_with(rec)
-        else:
-            out[rec.name] = RegionRecord(rec.name, rec.region_count, dict(rec.totals))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -156,10 +134,9 @@ class SimulatedBackend:
     def open(self, events: frozenset[EventId]) -> None:
         pass
 
-    def read(self, events: frozenset[EventId]) -> CounterSample:
+    def read(self, events: frozenset[EventId]) -> dict[EventId, int]:
         self._reads += 1
-        values = {ev: self._reads * self.increments.get(ev, 0) for ev in events}
-        return CounterSample(values)
+        return {ev: self._reads * self.increments.get(ev, 0) for ev in events}
 
     def now_ns(self) -> int:
         return self._reads * SIM_TICK_NS
@@ -292,12 +269,9 @@ class RealOsBackend:
             self.close()
             raise
 
-    def read(self, events: frozenset[EventId]) -> CounterSample:
-        values = {}
-        for ev in events:
-            raw = os.read(self._fds[ev], 8)
-            values[ev] = struct.unpack("<Q", raw)[0]
-        return CounterSample(values)
+    def read(self, events: frozenset[EventId]) -> dict[EventId, int]:
+        return {ev: struct.unpack("<Q", os.read(self._fds[ev], 8))[0]
+                for ev in events}
 
     def close(self) -> None:
         for fd in self._fds.values():
@@ -318,18 +292,20 @@ class CounterSession:
     def __init__(self, backend, events: frozenset[EventId]):
         self.backend = backend
         self.events = events
-        self._last: CounterSample | None = None
+        # Counters are cumulative from open, so the baseline is the zero
+        # reading; taking it without a backend read keeps the simulated
+        # backend's N-reads = N*increment contract intact.
+        self._last = {ev: 0 for ev in events}
 
-    def read(self) -> CounterSample:
-        sample = self.backend.read(self.events)
-        if self._last is not None:
-            for ev in self.events:
-                if sample.values[ev] < self._last.values[ev]:
-                    raise CounterWentBackward(
-                        f"{EVENT_NAMES[ev]} decreased: "
-                        f"{self._last.values[ev]} -> {sample.values[ev]}")
-        self._last = sample
-        return sample
+    def read(self) -> dict[EventId, int]:
+        """Each event's count since the session opened."""
+        reading = self.backend.read(self.events)
+        for ev in self.events:
+            if reading[ev] < self._last[ev]:
+                raise CounterWentBackward(
+                    f"{ev.value} decreased: {self._last[ev]} -> {reading[ev]}")
+        self._last = reading
+        return reading
 
     def close(self) -> None:
         self.backend.close()
@@ -354,18 +330,13 @@ def open_session(backend, events: frozenset[EventId] | set[EventId]) -> CounterS
     if unknown:
         raise UnknownEventName(f"not EventIds: {unknown}")
     backend.open(events)
-    session = CounterSession(backend, events)
-    # Counters are cumulative from open, so the baseline is the zero sample;
-    # taking it without a backend read keeps the simulated backend's
-    # N-reads = N*increment contract intact.
-    session._last = CounterSample({ev: 0 for ev in events})
-    return session
+    return CounterSession(backend, events)
 
 
 @dataclass
 class _OpenRegion:
     name: str
-    snapshot: CounterSample
+    snapshot: dict[EventId, int]
 
 
 class RegionCollector:
@@ -398,8 +369,8 @@ class RegionCollector:
                 f"region_end({name!r}) but innermost open region is "
                 f"{innermost.name!r}")
         self._stack.pop()
-        sample = self.session.read()
-        delta = {ev: sample.values[ev] - innermost.snapshot.values[ev]
+        reading = self.session.read()
+        delta = {ev: reading[ev] - innermost.snapshot[ev]
                  for ev in self.session.events}
         record = RegionRecord(name, 1, delta)
         if name in self._records:

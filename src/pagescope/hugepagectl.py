@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import enum
 import threading
-import time
 from dataclasses import dataclass, field
 
 MEMINFO_PATH = "/proc/meminfo"
@@ -106,7 +105,6 @@ class MeminfoSnapshot:
     hp_free: int
     hp_rsvd: int
     hp_surp: int
-    captured_at: int  # monotonic ns
 
     def __post_init__(self):
         for name in ("anon_huge_kb", "shmem_huge_kb", "hugetlb_kb",
@@ -134,7 +132,7 @@ EVIDENCE_FIELDS = ("anon_huge_kb", "shmem_huge_kb", "hugetlb_kb", "hp_total")
 _POOL_FIELDS = ("hp_free", "hp_rsvd", "hp_surp", "hugepagesize_kb")
 
 
-def parse_meminfo(text: str, captured_at: int | None = None) -> MeminfoSnapshot:
+def parse_meminfo(text: str) -> MeminfoSnapshot:
     """Extract the eight huge-page fields from a /proc/meminfo document.
 
     Untracked lines are ignored; a tracked line that fails to parse raises
@@ -162,9 +160,7 @@ def parse_meminfo(text: str, captured_at: int | None = None) -> MeminfoSnapshot:
     for key, (fieldname, _) in _TRACKED.items():
         if fieldname not in found:
             raise MissingField(key)
-    if captured_at is None:
-        captured_at = time.monotonic_ns()
-    return MeminfoSnapshot(captured_at=captured_at, **found)
+    return MeminfoSnapshot(**found)
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +338,8 @@ class MeminfoMonitor:
         self.samples = 0  # reads attempted through sample()
         self.dropped = 0  # of those, reads that failed
 
-    def poll_once(self, captured_at: int | None = None) -> MeminfoSnapshot:
-        return parse_meminfo(self.fs.read_text(MEMINFO_PATH), captured_at)
+    def poll_once(self) -> MeminfoSnapshot:
+        return parse_meminfo(self.fs.read_text(MEMINFO_PATH))
 
     def sample(self) -> MeminfoSnapshot | None:
         """One poll, or None when meminfo cannot be read or parsed; a

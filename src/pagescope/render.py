@@ -26,6 +26,25 @@ def _fmt_full(value) -> str:
     return "n/a" if value is None else repr(float(value))
 
 
+# What XML text and attribute values cannot hold literally. html.escape
+# maps the same characters, but importing `html` loads its entity table,
+# half a megabyte, into the process whose memory `run` measures.
+_XML_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;",
+                              '"': "&quot;", "'": "&#x27;"})
+
+
+def _xml(text: str) -> str:
+    return text.translate(_XML_ESCAPES)
+
+
+def _csv_field(text: str) -> str:
+    """`text` as one CSV field: quoted, inner quotes doubled, only when it
+    holds a comma, a quote or a line break, so plain text keeps its bytes."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def metrics_table(without: dict[str, float | None], with_: dict[str, float | None],
                   region: str) -> str:
     """One region's Without/With table from row-label -> value mappings."""
@@ -63,7 +82,7 @@ def ratio_chart_csv(measure_labels: list[str], cases: list[str],
         for case in cases:
             value = ratios.get((label, case))
             cell = "n/a" if value is None else _fmt_ratio(value)
-            lines.append(f"\"{label}\",{case},{cell}")
+            lines.append(f'"{label}",{_csv_field(case)},{cell}')
     return "\n".join(lines) + "\n"
 
 
@@ -71,7 +90,8 @@ def ratio_chart_svg(measure_labels: list[str], cases: list[str],
                     ratios: dict[tuple[str, str], float | None]) -> str:
     """Grouped bar chart: one group per measure, one bar per case, with a
     horizontal guide line at ratio 1. Bar heights come from the same
-    formatted strings the companion CSV prints."""
+    formatted strings the companion CSV prints. Labels are report input,
+    so they are escaped as XML text."""
     margin_left, margin_right = 70, 20
     margin_top, margin_bottom = 50, 110
     chart_w, chart_h = max(440, 110 * max(1, len(measure_labels))), 280
@@ -123,7 +143,7 @@ def ratio_chart_svg(measure_labels: list[str], cases: list[str],
             color = _BAR_COLORS[ci % len(_BAR_COLORS)]
             svg.append(f'  <rect x="{x:.2f}" y="{y:.2f}" width="{bar_w:.2f}" '
                        f'height="{margin_top + chart_h - y:.2f}" fill="{color}" '
-                       f'data-measure="{label}" data-case="{case}" '
+                       f'data-measure="{_xml(label)}" data-case="{_xml(case)}" '
                        f'data-ratio="{text}"/>')
             svg.append(f'  <text x="{x + bar_w / 2:.2f}" y="{y - 3:.2f}" '
                        f'text-anchor="middle" font-size="9" '
@@ -132,7 +152,7 @@ def ratio_chart_svg(measure_labels: list[str], cases: list[str],
         ly = margin_top + chart_h + 14
         svg.append(f'  <text x="{lx:.2f}" y="{ly}" text-anchor="end" '
                    f'font-size="10" fill="#333" '
-                   f'transform="rotate(-30, {lx:.2f}, {ly})">{label}</text>')
+                   f'transform="rotate(-30, {lx:.2f}, {ly})">{_xml(label)}</text>')
 
     legend_y = height - 28
     lx = margin_left
@@ -141,7 +161,7 @@ def ratio_chart_svg(measure_labels: list[str], cases: list[str],
         svg.append(f'  <rect x="{lx}" y="{legend_y}" width="11" height="11" '
                    f'fill="{color}"/>')
         svg.append(f'  <text x="{lx + 15}" y="{legend_y + 10}" font-size="11" '
-                   f'fill="#333">{case}</text>')
+                   f'fill="#333">{_xml(case)}</text>')
         lx += 15 + 8 * len(case) + 30
 
     svg.append(f'  <line x1="{margin_left}" y1="{margin_top}" '

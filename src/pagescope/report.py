@@ -17,20 +17,17 @@ import shutil
 import statistics
 import sys
 import time
-from dataclasses import asdict, astuple, dataclass, fields
+from dataclasses import asdict, astuple, dataclass, field, fields
 from pathlib import Path
 
 from . import blockmesh, render
 from .counterhub import (
     ALL_EVENTS,
-    EVENT_NAMES,
-    NAME_TO_EVENT,
     EventId,
     RealOsBackend,
     RegionCollector,
     RegionRecord,
     SimulatedBackend,
-    aggregate,
     open_session,
     parse_event_names,
 )
@@ -85,6 +82,14 @@ def _reject_unknown_keys(d: dict, allowed, where: str) -> None:
     unknown = set(d) - set(allowed)
     if unknown:
         raise ValueError(f"unknown {where} keys: {', '.join(sorted(unknown))}")
+
+
+def _string_list(value, what: str) -> list[str]:
+    """`value` if it is a list of strings, else ValueError: a bare string
+    would otherwise be taken one character at a time."""
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ValueError(f"{what} {value!r} is not a list of strings")
+    return value
 
 
 # Neutral per-read increments used when a simulated config does not supply
@@ -151,9 +156,7 @@ class WorkloadSpec:
     def from_dict(cls, d: dict) -> "WorkloadSpec":
         _reject_unknown_keys(d, [f.name for f in fields(cls)], "workload")
         layout = d.get("layout")
-        argv = d.get("argv", [])
-        if not isinstance(argv, list) or not all(isinstance(a, str) for a in argv):
-            raise ValueError(f"argv {argv!r} is not a list of strings")
+        argv = _string_list(d.get("argv", []), "argv")
         return cls(kind=d["kind"],
                    layout=blockmesh.UnkLayout.from_dict(layout) if layout else None,
                    passes=d.get("passes", 1),
@@ -172,8 +175,9 @@ class ExperimentConfig:
     repetitions: int = 1
     monitor_cadence_s: float = 1.0
     backend: str = "simulated"  # "simulated" | "real"
-    # Per-role deterministic counter increments, only used when simulated.
-    simulated_increments: tuple[tuple[str, tuple[tuple[EventId, int], ...]], ...] = ()
+    # {role: {event: increment per read}}, only used when simulated.
+    simulated_increments: dict[str, dict[EventId, int]] = field(
+        default_factory=dict, hash=False)
     label: str = "experiment"
 
     def __post_init__(self):
@@ -187,37 +191,28 @@ class ExperimentConfig:
             raise ValueError("monitor_cadence_s must be > 0")
         if not isinstance(self.label, str):
             raise ValueError("label must be a string")
-        if self.simulated_increments:
-            roles = {role for role, _ in self.simulated_increments}
-            if not {"baseline", "treatment"} <= roles:
-                raise ValueError("simulated_increments must cover both the "
-                                 "baseline and treatment roles")
-
-    def increments_for(self, role: str) -> dict[EventId, int]:
-        if not self.simulated_increments:
-            return dict(DEFAULT_SIM_INCREMENTS)
-        return dict(dict(self.simulated_increments)[role])
-
-    @staticmethod
-    def pack_increments(per_role: dict[str, dict[EventId, int]]):
-        return tuple(sorted(
-            (role, tuple(sorted(incs.items(), key=lambda kv: kv[0].name)))
-            for role, incs in per_role.items()))
+        if EventId.CpuCycles not in self.events:
+            raise ValueError(f"events lack {EventId.CpuCycles.value}, "
+                             f"which every measure is derived from")
+        if (self.simulated_increments
+                and not {"baseline", "treatment"} <= set(self.simulated_increments)):
+            raise ValueError("simulated_increments must cover both the "
+                             "baseline and treatment roles")
 
     def to_dict(self) -> dict:
         return {
             "workload": self.workload.to_dict(),
             "baseline": self.baseline.value,
             "treatment": self.treatment.value,
-            "events": sorted(EVENT_NAMES[ev] for ev in self.events),
+            "events": sorted(ev.value for ev in self.events),
             "cpu": {"freq_hz": self.cpu.freq_hz,
                     "line_bytes": self.cpu.cache_line_bytes},
             "repetitions": self.repetitions,
             "monitor_cadence_s": self.monitor_cadence_s,
             "backend": self.backend,
             "simulated_increments": {
-                role: {EVENT_NAMES[ev]: inc for ev, inc in pairs}
-                for role, pairs in self.simulated_increments},
+                role: {ev.value: inc for ev, inc in incs.items()}
+                for role, incs in self.simulated_increments.items()},
             "label": self.label,
         }
 
@@ -228,10 +223,10 @@ class ExperimentConfig:
             _reject_unknown_keys(d, [f.name for f in fields(cls)] + ["strict"],
                                  "top-level")
             _reject_unknown_keys(d.get("cpu", {}), ["freq_hz", "line_bytes"], "cpu")
-            events = (parse_event_names(",".join(d["events"]))
-                      if d.get("events") else ALL_EVENTS)
+            names = _string_list(d.get("events", []), "events")
+            events = parse_event_names(",".join(names)) if names else ALL_EVENTS
             incs = {
-                role: {NAME_TO_EVENT[name]: int(v) for name, v in table.items()}
+                role: {EventId(name): int(v) for name, v in table.items()}
                 for role, table in d.get("simulated_increments", {}).items()}
             return cls(
                 workload=WorkloadSpec.from_dict(d["workload"]),
@@ -243,7 +238,7 @@ class ExperimentConfig:
                 repetitions=d.get("repetitions", 1),
                 monitor_cadence_s=d.get("monitor_cadence_s", 1.0),
                 backend=d.get("backend", "simulated"),
-                simulated_increments=cls.pack_increments(incs),
+                simulated_increments=incs,
                 label=d.get("label", "experiment"),
             )
         except KeyError as exc:
@@ -267,9 +262,10 @@ def _median_metrics(per_rep: list[DerivedMetrics]) -> DerivedMetrics:
 
 def _make_backend(config: ExperimentConfig, role: str):
     if config.backend == "simulated":
-        return SimulatedBackend(config.increments_for(role))
+        return SimulatedBackend(
+            config.simulated_increments.get(role, DEFAULT_SIM_INCREMENTS))
     state = RealOsBackend.probe(config.events)
-    bad = {EVENT_NAMES[ev]: msg for ev, msg in state.items() if msg != "ok"}
+    bad = {ev.value: msg for ev, msg in state.items() if msg != "ok"}
     if bad:
         raise CounterUnavailable(f"events not programmable: {bad}")
     return RealOsBackend()
@@ -289,7 +285,7 @@ def run_dict(mode: HugePageMode, record: RegionRecord, metrics: DerivedMetrics,
                     "reason": verdict.reason},
         "regions": {record.name: {
             "region_count": record.region_count,
-            "totals": {EVENT_NAMES[ev]: int(v) for ev, v in record.totals.items()},
+            "totals": {ev.value: int(v) for ev, v in record.totals.items()},
             "metrics": asdict(metrics)}},
     }
 
@@ -314,13 +310,16 @@ def _run_one_mode(config: ExperimentConfig, role: str,
     rep_records: list[RegionRecord] = []
     rep_elapsed: list[float] = []
     try:
-        for _ in range(config.repetitions):
-            record, elapsed, checksum = _run_rep(config.workload, mode, backend,
-                                                 config.events, now_s)
-            rep_records.append(record)
-            rep_elapsed.append(elapsed)
-            if before is not None and not threaded:
-                during.append(monitor.sample())
+        # One session per role: its collector merges the repetitions.
+        with open_session(backend, config.events) as session:
+            collector = RegionCollector(session)
+            for _ in range(config.repetitions):
+                record, elapsed, checksum = _run_rep(config.workload, mode,
+                                                     collector, now_s)
+                rep_records.append(record)
+                rep_elapsed.append(elapsed)
+                if before is not None and not threaded:
+                    during.append(monitor.sample())
     finally:
         if threaded:
             during.extend(monitor.stop())
@@ -333,15 +332,16 @@ def _run_one_mode(config: ExperimentConfig, role: str,
         verdict = detect_usage(before, during or [before])
 
     per_rep_metrics = [derive(r, config.cpu) for r in rep_records]
-    run = run_dict(mode, aggregate(rep_records)[config.workload.region_name],
+    run = run_dict(mode, collector.records()[config.workload.region_name],
                    _median_metrics(per_rep_metrics), verdict,
                    statistics.median(rep_elapsed), checksum)
     return run, monitor
 
 
-def _run_rep(workload, mode, backend, events, now_s):
+def _run_rep(workload, mode, collector: RegionCollector, now_s):
     """One repetition: t0, region begin, the kernel or the command, region
-    end, t1. Returns (record, elapsed seconds, checksum or None).
+    end, t1. Returns (this repetition's record, elapsed seconds, checksum
+    or None); `collector` also merges the record into the role's.
 
     In-process kernels ignore the launch plan's env/wrapper: the plan
     applies to spawned commands, while this process's mapping policy is
@@ -353,27 +353,25 @@ def _run_rep(workload, mode, backend, events, now_s):
         # Only a spawned command needs it. Imported before t0, so the
         # first import's milliseconds land in no role's timed region.
         import subprocess
-    with open_session(backend, events) as session:
-        collector = RegionCollector(session)
-        t0 = now_s()
-        collector.region_begin(name)
-        if workload.kind == EXTERNAL:
-            plan = plan_launch(mode)
-            try:
-                returncode = subprocess.run(
-                    plan.command(list(workload.argv)),
-                    env=plan.environ(dict(os.environ)),
-                    capture_output=True).returncode
-            except FileNotFoundError as exc:
-                # Shell convention for command-not-found; usually the mode's
-                # wrapper tool is missing, which doctor() flags in advance.
-                raise WorkloadFailed(mode, 127) from exc
-        else:
-            checksum = blockmesh.run_kernel(
-                workload.layout, blockmesh.WORKLOAD_PATTERNS[workload.kind],
-                workload.passes, workload.fill, workload.alloc)
-        record = collector.region_end(name)
-        t1 = now_s()
+    t0 = now_s()
+    collector.region_begin(name)
+    if workload.kind == EXTERNAL:
+        plan = plan_launch(mode)
+        try:
+            returncode = subprocess.run(
+                plan.command(list(workload.argv)),
+                env=plan.environ(dict(os.environ)),
+                capture_output=True).returncode
+        except FileNotFoundError as exc:
+            # Shell convention for command-not-found; usually the mode's
+            # wrapper tool is missing, which doctor() flags in advance.
+            raise WorkloadFailed(mode, 127) from exc
+    else:
+        checksum = blockmesh.run_kernel(
+            workload.layout, blockmesh.WORKLOAD_PATTERNS[workload.kind],
+            workload.passes, workload.fill, workload.alloc)
+    record = collector.region_end(name)
+    t1 = now_s()
     if returncode != 0:
         raise WorkloadFailed(mode, returncode)
     return record, elapsed_timer(t0, t1), checksum
@@ -651,7 +649,7 @@ def doctor(fs=None, which=shutil.which, probe=None) -> CapabilityReport:
 
     counter_state = {}
     try:
-        counter_state = {EVENT_NAMES[ev]: msg for ev, msg in probe().items()}
+        counter_state = {ev.value: msg for ev, msg in probe().items()}
     except Exception as exc:  # probe itself may be impossible off-Linux
         advisories.append(f"counter probe failed: {exc}")
     denied = [name for name, msg in counter_state.items() if msg != "ok"]

@@ -189,15 +189,14 @@ def test_criterion_07_parser_round_trips():
             "HugePages_Free", "HugePages_Rsvd", "HugePages_Surp",
             "Hugepagesize", "Hugetlb"]
     reference = parse_meminfo(meminfo_text(anon_kb=4096, total=6, free=1,
-                                           surp=6, hugetlb_kb=12288),
-                              captured_at=0)
+                                           surp=6, hugetlb_kb=12288))
     rng = np.random.RandomState(5)
     orderings = [keys, list(reversed(keys))]
     orderings += [list(rng.permutation(keys)) for _ in range(TRACKED_ORDERINGS)]
     for order in orderings:
         doc = meminfo_text(anon_kb=4096, total=6, free=1, surp=6,
                            hugetlb_kb=12288, order=order)
-        snap = parse_meminfo(doc, captured_at=0)
+        snap = parse_meminfo(doc)
         assert snap == reference
 
     # THP parse/render round-trips, including the two canonical documents.
@@ -223,7 +222,7 @@ def test_criterion_08_launch_plan_conformance():
 
 
 def test_criterion_09_end_to_end_determinism():
-    increments = ExperimentConfig.pack_increments({
+    increments = {
         "baseline": {EventId.CpuCycles: 1_800_000,
                      EventId.CacheMisses: 10_000,
                      EventId.DtlbLoadMisses: 21_300,
@@ -236,7 +235,7 @@ def test_criterion_09_end_to_end_determinism():
                       EventId.SveInstRetired: 900_000,
                       EventId.StalledCyclesBackend: 650_000,
                       EventId.StalledCyclesFrontend: 91_000},
-    })
+    }
     config = ExperimentConfig(
         workload=WorkloadSpec(kind="block-sweep",
                               layout=UnkLayout.simple(2, 8, 8, 8, 10)),

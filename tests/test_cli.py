@@ -7,9 +7,8 @@ from pathlib import Path
 import pytest
 
 import pagescope
-from pagescope import hugepagectl, tlbsim
+from pagescope import blockmesh, hugepagectl, tlbsim
 from pagescope.cli import _build_run_config, build_parser, main
-from pagescope.counterhub import EVENT_NAMES, EventId
 from pagescope.hugepagectl import THP_ENABLED_PATH
 
 
@@ -67,8 +66,8 @@ def test_run_with_config_file(tmp_path, capsys):
         "treatment": "preload",
         "backend": "simulated",
         "simulated_increments": {
-            "baseline": {EVENT_NAMES[EventId.CpuCycles]: 1000},
-            "treatment": {EVENT_NAMES[EventId.CpuCycles]: 900}},
+            "baseline": {"PERF_COUNT_HW_CPU_CYCLES": 1000},
+            "treatment": {"PERF_COUNT_HW_CPU_CYCLES": 900}},
         "label": "from-config",
     }
     cfg_path = tmp_path / "exp.json"
@@ -237,6 +236,8 @@ def _config_file(content):
     _config_file({"workload": {"kind": "block-sweep",
                                "layout": {**PLANE_8, "elem_bytes": 4}}}),
     ["--n", "8", "--layout", "1,4,4,1,1"],
+    ["--events", "DTLB-LOAD-MISSES"],
+    _config_file({"events": "PERF_COUNT_HW_CPU_CYCLES"}),
 ], ids=["n-0", "passes-0", "repetitions-0", "short-layout", "missing-config",
         "config-not-object", "config-workload-not-object",
         "config-layout-incomplete", "config-increments-not-object",
@@ -247,10 +248,14 @@ def _config_file(content):
         "config-argv-with-builtin-kind", "freq-nan", "freq-inf",
         "config-freq-nan", "config-fill-null", "config-fill-string",
         "config-fill-bool", "config-fill-nan", "config-fill-huge-int",
-        "config-alloc-unknown", "config-elem-bytes-4", "n-with-layout"])
-def test_bad_run_flags_are_bad_configuration(tmp_path, capsys, flags):
+        "config-alloc-unknown", "config-elem-bytes-4", "n-with-layout",
+        "events-without-cycles", "config-events-string"])
+def test_bad_run_flags_are_bad_configuration(tmp_path, capsys, monkeypatch, flags):
     if callable(flags):
         flags = flags(tmp_path)
+    # A bad configuration is rejected before any run starts.
+    monkeypatch.setattr(blockmesh, "run_kernel",
+                        lambda *args: pytest.fail("the kernel ran"))
     rc = main(["run", "--simulate-counters", "--workload", "sum2d",
                "--out", str(tmp_path)] + flags)
     assert rc == 3
@@ -258,6 +263,20 @@ def test_bad_run_flags_are_bad_configuration(tmp_path, capsys, flags):
     assert out == ""
     assert err.startswith("error: bad configuration") and err.count("\n") == 1
     assert not list(tmp_path.glob("report-*.json"))
+
+
+def test_papi_events_without_cycles_is_bad_configuration(monkeypatch):
+    monkeypatch.setenv("PAPI_EVENTS", "DTLB-LOAD-MISSES")
+    with pytest.raises(ValueError, match="^bad configuration: events lack "
+                       "PERF_COUNT_HW_CPU_CYCLES"):
+        _build_run_config(build_parser().parse_args(["run", "--simulate-counters"]))
+
+
+def test_config_file_events_string_is_named_not_split(tmp_path):
+    flags = _config_file({"events": "PERF_COUNT_HW_CPU_CYCLES"})(tmp_path)
+    with pytest.raises(ValueError, match="^bad configuration: events "
+                       "'PERF_COUNT_HW_CPU_CYCLES' is not a list of strings$"):
+        _build_run_config(build_parser().parse_args(["run", *flags]))
 
 
 def test_run_backend_is_real_unless_simulate_counters():

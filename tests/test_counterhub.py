@@ -4,8 +4,6 @@ from hypothesis import given, strategies as st
 from pagescope import counterhub as ch
 from pagescope.counterhub import (
     ALL_EVENTS,
-    EVENT_NAMES,
-    CounterSample,
     CounterWentBackward,
     EventId,
     MismatchedRegion,
@@ -16,7 +14,6 @@ from pagescope.counterhub import (
     SimulatedBackend,
     UnknownEventName,
     UnsupportedEvent,
-    aggregate,
     open_session,
 )
 
@@ -27,27 +24,28 @@ def _collector(increments):
 
 
 def test_event_name_mapping_is_exact_and_injective():
-    assert EVENT_NAMES[EventId.CpuCycles] == "PERF_COUNT_HW_CPU_CYCLES"
-    assert EVENT_NAMES[EventId.CacheMisses] == "PERF_COUNT_HW_CACHE_MISSES"
-    assert EVENT_NAMES[EventId.DtlbLoadMisses] == "DTLB-LOAD-MISSES"
-    assert EVENT_NAMES[EventId.SveInstRetired] == "SVE_INST_RETIRED"
-    assert (EVENT_NAMES[EventId.StalledCyclesBackend]
+    assert EventId.CpuCycles.value == "PERF_COUNT_HW_CPU_CYCLES"
+    assert EventId.CacheMisses.value == "PERF_COUNT_HW_CACHE_MISSES"
+    assert EventId.DtlbLoadMisses.value == "DTLB-LOAD-MISSES"
+    assert EventId.SveInstRetired.value == "SVE_INST_RETIRED"
+    assert (EventId.StalledCyclesBackend.value
             == "PERF_COUNT_HW_STALLED_CYCLES_BACKEND")
-    assert (EVENT_NAMES[EventId.StalledCyclesFrontend]
+    assert (EventId.StalledCyclesFrontend.value
             == "PERF_COUNT_HW_STALLED_CYCLES_FRONTEND")
-    assert len(set(EVENT_NAMES.values())) == 6 == len(EventId)
+    # An equal value would make a member an alias, not a seventh event.
+    assert len({ev.value for ev in EventId}) == 6 == len(EventId)
+    assert all(EventId(ev.value) is ev for ev in EventId)
 
 
 def test_zero_increments_read_zero():
     session = open_session(SimulatedBackend({}), ALL_EVENTS)
-    sample = session.read()
-    assert all(v == 0 for v in sample.values.values())
+    assert all(v == 0 for v in session.read().values())
 
 
 def test_reads_are_deterministic_multiples():
     session = open_session(SimulatedBackend({EventId.CpuCycles: 100}),
                            {EventId.CpuCycles})
-    got = [session.read().values[EventId.CpuCycles] for _ in range(3)]
+    got = [session.read()[EventId.CpuCycles] for _ in range(3)]
     assert got == [100, 200, 300]
 
 
@@ -141,7 +139,7 @@ def test_session_reads_monotonic():
     prev = session.read()
     for _ in range(5):
         cur = session.read()
-        assert all(cur.values[ev] >= prev.values[ev] for ev in EventId)
+        assert all(cur[ev] >= prev[ev] for ev in EventId)
         prev = cur
 
 
@@ -156,7 +154,7 @@ class _BrokenBackend:
 
     def read(self, events):
         v = next(self.script)
-        return CounterSample({ev: v for ev in events})
+        return {ev: v for ev in events}
 
     def close(self):
         pass
@@ -167,27 +165,6 @@ def test_counter_went_backward_detected():
     session.read()
     with pytest.raises(CounterWentBackward):
         session.read()
-
-
-def test_aggregate_empty():
-    assert aggregate([]) == {}
-
-
-def test_aggregate_merges_equal_names():
-    recs = [RegionRecord("EOS", 1, {EventId.CpuCycles: 10}),
-            RegionRecord("EOS", 2, {EventId.CpuCycles: 20})]
-    merged = aggregate(recs)
-    assert set(merged) == {"EOS"}
-    assert merged["EOS"].region_count == 3
-    assert merged["EOS"].totals[EventId.CpuCycles] == 30
-
-
-def test_aggregate_keeps_distinct_names():
-    recs = [RegionRecord("EOS", 1, {EventId.CpuCycles: 10}),
-            RegionRecord("hydro", 1, {EventId.CpuCycles: 5})]
-    merged = aggregate(recs)
-    assert merged["EOS"].totals[EventId.CpuCycles] == 10
-    assert merged["hydro"].totals[EventId.CpuCycles] == 5
 
 
 def _run_script(tree, coll, depth=0):
@@ -258,4 +235,4 @@ def test_realos_probe_reports_per_event(monkeypatch):
     assert "perf_event_paranoid" in state[EventId.CpuCycles]
     assert all("ok" != msg for msg in state.values())
     # doctor prints each reason after its event's name; the reason omits it.
-    assert all(EVENT_NAMES[ev] not in msg for ev, msg in state.items())
+    assert all(ev.value not in msg for ev, msg in state.items())

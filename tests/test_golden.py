@@ -37,7 +37,7 @@ TRACE_CASES = {
 
 def determinism_outputs() -> dict[str, str]:
     """Criterion 09's experiment rendered three ways, host name normalized."""
-    increments = ExperimentConfig.pack_increments({
+    increments = {
         "baseline": {EventId.CpuCycles: 1_800_000,
                      EventId.CacheMisses: 10_000,
                      EventId.DtlbLoadMisses: 21_300,
@@ -50,7 +50,7 @@ def determinism_outputs() -> dict[str, str]:
                       EventId.SveInstRetired: 900_000,
                       EventId.StalledCyclesBackend: 650_000,
                       EventId.StalledCyclesFrontend: 91_000},
-    })
+    }
     config = ExperimentConfig(
         workload=WorkloadSpec(kind="block-sweep",
                               layout=UnkLayout.simple(2, 8, 8, 8, 10)),

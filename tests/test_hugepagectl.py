@@ -30,8 +30,7 @@ TRACKED_KEYS = ["AnonHugePages", "ShmemHugePages", "HugePages_Total",
 
 
 def test_parse_constructed_document():
-    snap = parse_meminfo(meminfo_text(total=6, surp=6, hugetlb_kb=12288),
-                         captured_at=0)
+    snap = parse_meminfo(meminfo_text(total=6, surp=6, hugetlb_kb=12288))
     assert snap.hp_total == 6
     assert snap.hugetlb_kb == 12288
     assert snap.anon_huge_kb == 0
@@ -39,7 +38,7 @@ def test_parse_constructed_document():
 
 
 def test_parse_all_zero_document():
-    snap = parse_meminfo(meminfo_text(pagesize_kb=2048), captured_at=0)
+    snap = parse_meminfo(meminfo_text(pagesize_kb=2048))
     assert (snap.anon_huge_kb, snap.shmem_huge_kb, snap.hugetlb_kb,
             snap.hp_total, snap.hp_free, snap.hp_rsvd, snap.hp_surp) == (0,) * 7
 
@@ -62,7 +61,7 @@ def test_malformed_tracked_line_reports_line_number():
 
 def test_untracked_garbage_ignored():
     doc = meminfo_text() + "NotAField: banana\nDirectMap4k: x y z\n"
-    snap = parse_meminfo(doc, captured_at=0)
+    snap = parse_meminfo(doc)
     assert snap.hp_total == 0
 
 
@@ -70,14 +69,14 @@ def test_untracked_garbage_ignored():
 def test_parse_total_over_permuted_documents(order):
     doc = meminfo_text(anon_kb=2048, total=6, free=2, surp=6, hugetlb_kb=12288,
                        order=list(order), tracked_only=True)
-    snap = parse_meminfo(doc, captured_at=0)
+    snap = parse_meminfo(doc)
     assert (snap.anon_huge_kb, snap.hp_total, snap.hp_free, snap.hugetlb_kb) \
         == (2048, 6, 2, 12288)
 
 
 def test_snapshot_invariant_free_within_pool():
     with pytest.raises(ValueError):
-        parse_meminfo(meminfo_text(total=1, free=5, surp=0), captured_at=0)
+        parse_meminfo(meminfo_text(total=1, free=5, surp=0))
 
 
 @pytest.mark.parametrize("text,mode", [
@@ -156,7 +155,7 @@ def test_plan_environ_merges_over_base():
 
 
 def _snap(**kw):
-    return parse_meminfo(meminfo_text(**kw), captured_at=kw.pop("t", 0))
+    return parse_meminfo(meminfo_text(**kw))
 
 
 def test_detect_active_on_hugetlb_growth():
@@ -219,9 +218,9 @@ def test_active_verdict_requires_positive_delta():
 
 def test_fixture_fs_replays_sequences():
     fs = FixtureFs({MEMINFO_PATH: [meminfo_text(), meminfo_text(total=6, surp=6)]})
-    first = parse_meminfo(fs.read_text(MEMINFO_PATH), captured_at=0)
-    second = parse_meminfo(fs.read_text(MEMINFO_PATH), captured_at=1)
-    third = parse_meminfo(fs.read_text(MEMINFO_PATH), captured_at=2)  # sticky
+    first = parse_meminfo(fs.read_text(MEMINFO_PATH))
+    second = parse_meminfo(fs.read_text(MEMINFO_PATH))
+    third = parse_meminfo(fs.read_text(MEMINFO_PATH))  # sticky
     assert first.hp_total == 0
     assert second.hp_total == 6 == third.hp_total
     with pytest.raises(FileNotFoundError):
@@ -242,7 +241,7 @@ def test_monitor_poll_once_and_thread_drain():
                                    meminfo_text(anon_kb=4096),
                                    meminfo_text(anon_kb=8192)]})
     monitor = MeminfoMonitor(fs, cadence_s=0.001)
-    before = monitor.poll_once(captured_at=0)
+    before = monitor.poll_once()
     monitor.start()
     import time
     time.sleep(0.05)

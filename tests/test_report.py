@@ -1,10 +1,14 @@
+import csv
+import io
 import json
 import re
+from xml.etree import ElementTree
 
 import pytest
 
 from pagescope.blockmesh import UnkLayout
-from pagescope.counterhub import ALL_EVENTS, EventId, RealOsBackend, RegionRecord
+from pagescope.counterhub import (ALL_EVENTS, EventId, RealOsBackend, RegionRecord,
+                                  UnknownEventName)
 from pagescope.hugepagectl import (
     MEMINFO_PATH,
     PERF_PARANOID_PATH,
@@ -53,8 +57,7 @@ def sim_config(base_inc, treat_inc, label="exp", repetitions=1,
         treatment=treatment,
         repetitions=repetitions,
         backend="simulated",
-        simulated_increments=ExperimentConfig.pack_increments(
-            {"baseline": base_inc, "treatment": treat_inc}),
+        simulated_increments={"baseline": base_inc, "treatment": treat_inc},
         label=label,
     )
 
@@ -114,8 +117,7 @@ def test_external_workload_roundtrip():
         workload=WorkloadSpec(kind="external", argv=("true",)),
         treatment=HugePageMode.PreloadHugetlbfs,
         backend="simulated",
-        simulated_increments=ExperimentConfig.pack_increments(
-            {"baseline": BASE_INC, "treatment": BASE_INC}),
+        simulated_increments={"baseline": BASE_INC, "treatment": BASE_INC},
         label="ext")
     report = run_experiment(config, fs=zero_fs())
     assert "main" in report["runs"]["baseline"]["regions"]
@@ -130,8 +132,7 @@ def test_missing_wrapper_tool_maps_to_workload_failure():
         workload=WorkloadSpec(kind="external", argv=("true",)),
         treatment=HugePageMode.Transparent,  # wants the hugectl wrapper
         backend="simulated",
-        simulated_increments=ExperimentConfig.pack_increments(
-            {"baseline": BASE_INC, "treatment": BASE_INC}),
+        simulated_increments={"baseline": BASE_INC, "treatment": BASE_INC},
         label="no-wrapper")
     import shutil
     if shutil.which("hugectl"):
@@ -150,8 +151,7 @@ def test_treatment_failure_preserves_baseline():
             argv=("sh", "-c", 'test -z "$XOS_MMM_L_HPAGE_TYPE"')),
         treatment=HugePageMode.FujitsuHugetlbfs,
         backend="simulated",
-        simulated_increments=ExperimentConfig.pack_increments(
-            {"baseline": BASE_INC, "treatment": BASE_INC}),
+        simulated_increments={"baseline": BASE_INC, "treatment": BASE_INC},
         label="failing")
     with pytest.raises(WorkloadFailed) as err:
         run_experiment(config, fs=zero_fs())
@@ -218,6 +218,13 @@ def test_config_round_trip_and_hash_stability():
     assert again.config_hash() == config.config_hash()
     other = sim_config(BASE_INC, BASE_INC, label="different")
     assert other.config_hash() != config.config_hash()
+
+
+def test_config_file_unknown_increment_event_is_named():
+    d = sim_config(BASE_INC, BASE_INC).to_dict()
+    d["simulated_increments"]["baseline"]["NOT_AN_EVENT"] = 1
+    with pytest.raises(UnknownEventName, match="^unknown event name: 'NOT_AN_EVENT'$"):
+        ExperimentConfig.from_dict(d)
 
 
 def test_config_rejects_equal_modes():
@@ -301,6 +308,20 @@ def test_chart_and_csv_agree_bitwise():
     dtlb_hydro = float(svg_vals[(LABEL_DTLB, "3-d Hydro")])
     assert dtlb_eos == pytest.approx(0.047, abs=0.001)
     assert dtlb_hydro == pytest.approx(0.324, abs=0.001)
+
+
+def test_chart_escapes_the_report_label():
+    # A label is report input (--label, a config file, a hand-edited report).
+    label = 'A&B <x>, "q"'
+    svg, chart_csv = render_ratio_chart([{**reference_report("EOS"), "label": label}])
+    root = ElementTree.fromstring(svg)  # well-formed XML
+    svg_ns = "{http://www.w3.org/2000/svg}"
+    assert {rect.get("data-case") for rect in root.iter(f"{svg_ns}rect")
+            if rect.get("data-case") is not None} == {label}
+    assert label in [text.text for text in root.iter(f"{svg_ns}text")]
+    rows = list(csv.reader(io.StringIO(chart_csv)))
+    assert len(rows) > 1 and all(len(row) == 3 for row in rows)
+    assert {row[1] for row in rows[1:]} == {label}
 
 
 def test_chart_identity_bars_at_one():
