@@ -8,7 +8,12 @@ exactly the behavior the TLB simulator replays. This module does the
 address math and describes each traversal pattern once, as strided 1-D
 runs of elements. Those runs become both the byte-address traces the
 simulator replays and the array views a real allocate/fill/sum workload
-walks.
+walks. A run family (consecutive runs of equal count and stride whose
+first elements step by one constant, such as sum2d's row sweep) is one
+read-only 2-D view, reduced once per pass with `np.add.reduceat`, which
+reads it row by row in trace order. An `np.add.reduce` over `axis=1` is
+not used: numpy would walk such a view in memory order, column by
+column, and time another address stream than the trace's.
 
 A trace is a source of chunks, not an array. `AddressTrace.chunks` yields
 its byte offsets in access order, at most `CHUNK` at a time, from one
@@ -329,11 +334,45 @@ def _single_pass_runs(layout: UnkLayout,
 
 
 def _run_views(arr: np.ndarray, runs: list[tuple[int, int, int]]) -> list[np.ndarray]:
-    """One strided view of `arr` per run. Every view is 1-D with a positive
-    stride, so numpy writes and reads it in trace order; a 2-D view could be
-    walked in memory order instead."""
-    return [arr[start:start + (count - 1) * stride + 1:stride]
-            for start, count, stride in runs]
+    """Strided views of `arr` that hold the runs in order. Consecutive runs
+    of equal count and stride whose first elements step by one positive
+    constant (a run family, such as sum2d's row sweep) are one read-only
+    2-D view, row r being run r; any other run is a 1-D view with a
+    positive stride. A view whose last element lies outside `arr` is a
+    ValueError, never a silently shorter view."""
+    views, i = [], 0
+    while i < len(runs):
+        start, count, stride = runs[i]
+        j = i + 1
+        step = runs[j][0] - start if j < len(runs) else 0
+        while (j < len(runs) and step > 0 and runs[j][1:] == (count, stride)
+               and runs[j][0] - runs[j - 1][0] == step):
+            j += 1
+        rows = j - i
+        last = start + (rows - 1) * step + (count - 1) * stride
+        if start < 0 or last >= arr.size:
+            raise ValueError(f"runs from element {start} to {last} lie outside "
+                             f"an array of {arr.size} elements")
+        if rows == 1:
+            views.append(arr[start:last + 1:stride])
+        else:
+            views.append(np.lib.stride_tricks.as_strided(
+                arr[start:], shape=(rows, count),
+                strides=(step * arr.itemsize, stride * arr.itemsize),
+                writeable=False))
+        i = j
+    return views
+
+
+def _run_sums(view: np.ndarray) -> list:
+    """The sum of each run a `_run_views` view holds, in trace order. A 2-D
+    view is one `reduceat` call, which reads row r whole, in index order,
+    before row r + 1. `np.add.reduce(view, axis=1)` would give the same
+    sums but reads the view in memory order, column by column, which is
+    another address stream than the trace's."""
+    if view.ndim == 1:
+        return [np.add.reduce(view)]
+    return np.add.reduceat(view, [0], axis=1).ravel().tolist()
 
 
 def gen_trace(layout: UnkLayout, pattern: TraversalPattern,
@@ -360,9 +399,12 @@ def run_kernel(layout: UnkLayout, pattern: TraversalPattern, passes: int,
     touch in access order. Page faults (and any transparent huge-page
     mapping) therefore happen under the measured region. The checksum is
     the sum over every traversed element, identical for both strategies.
-    Each pass reduces one strided view of the array per run of the pattern
-    with one `np.add.reduce` call, so the measured region reads the array
-    under test and allocates nothing the size of a pass.
+    Each pass reduces each strided view of the array (`_run_views`) with
+    one call, in trace order: a 1-D view with `np.add.reduce`, a run
+    family's 2-D view with `np.add.reduceat` (`_run_sums`), so a sum2d
+    pass's 2048 row runs cost one call, not 2048. The measured region reads
+    the array under test and allocates nothing the size of a pass. Each
+    run's sum is added to the checksum in trace order.
     """
     if alloc not in ALLOC_STRATEGIES:
         raise ValueError(f"alloc must be eager or demand, got {alloc!r}")
@@ -384,11 +426,11 @@ def run_kernel(layout: UnkLayout, pattern: TraversalPattern, passes: int,
     views = _run_views(arr, _single_pass_runs(layout, pattern))
     if alloc == "demand":
         views[0][...] = fill
-    total = np.add.reduce
     checksum = 0.0
     for _ in range(passes):
         for view in views:
-            checksum += float(total(view))
+            for run_sum in _run_sums(view):
+                checksum += float(run_sum)
     return checksum
 
 

@@ -198,6 +198,17 @@ class ExperimentConfig:
                 and not {"baseline", "treatment"} <= set(self.simulated_increments)):
             raise ValueError("simulated_increments must cover both the "
                              "baseline and treatment roles")
+        # Checked here, before any kernel runs: a negative increment reads
+        # as a counter going backward, and a zero cycle count cannot be
+        # derived from once the baseline has run.
+        for role, table in self.simulated_increments.items():
+            for ev, inc in table.items():
+                if type(inc) is not int or inc < 0:
+                    raise ValueError(f"simulated increment {inc!r} for {role} "
+                                     f"{ev.value} is not an integer >= 0")
+            if not table.get(EventId.CpuCycles):
+                raise ValueError(f"simulated increments for {role} give no "
+                                 f"{EventId.CpuCycles.value} increment above 0")
 
     def to_dict(self) -> dict:
         return {
@@ -226,7 +237,7 @@ class ExperimentConfig:
             names = _string_list(d.get("events", []), "events")
             events = parse_event_names(",".join(names)) if names else ALL_EVENTS
             incs = {
-                role: {EventId(name): int(v) for name, v in table.items()}
+                role: {EventId(name): v for name, v in table.items()}
                 for role, table in d.get("simulated_increments", {}).items()}
             return cls(
                 workload=WorkloadSpec.from_dict(d["workload"]),

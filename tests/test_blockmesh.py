@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 
 import numpy as np
@@ -11,6 +12,7 @@ from pagescope.blockmesh import (
     IndexOutOfBounds,
     TraversalPattern,
     UnkLayout,
+    _run_sums,
     _run_views,
     _single_pass_runs,
     address_of,
@@ -181,7 +183,9 @@ def test_gen_trace_matches_address_oracle(lay, pattern):
 @pytest.mark.parametrize("pattern", list(TraversalPattern))
 def test_kernel_views_walk_the_trace(lay, pattern):
     runs = _single_pass_runs(lay, pattern)
-    walked = np.concatenate(_run_views(np.arange(lay.elements, dtype=np.uint64), runs))
+    views = _run_views(np.arange(lay.elements, dtype=np.uint64), runs)
+    # ravel() reads a 2-D view in C order: row by row, that is run by run.
+    walked = np.concatenate([view.ravel() for view in views])
     assert walked.tolist() == _single_pass_elements(lay, pattern).tolist()
 
 
@@ -233,14 +237,14 @@ def test_checksum_identical_across_alloc_strategies(monkeypatch, pattern):
 
 
 class _LoggedView(np.ndarray):
-    """One run's view that logs each write to it and each reduction of it."""
+    """One kernel view that logs each write to it and each reduction of it."""
 
     def __setitem__(self, key, value):
-        self.log.append(("write", self.run))
+        self.log.append(("write", self.index))
         super().__setitem__(key, value)
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        self.log.append(("read", self.run))
+        self.log.append(("read", self.index))
         inputs = [x.view(np.ndarray) if isinstance(x, _LoggedView) else x
                   for x in inputs]
         return getattr(ufunc, method)(*inputs, **kwargs)
@@ -253,19 +257,121 @@ def test_demand_writes_each_element_once_at_first_touch(monkeypatch, pattern, al
 
     def logged_views(arr, runs):
         views = [view.view(_LoggedView) for view in _run_views(arr, runs)]
-        for run, view in enumerate(views):
-            view.log, view.run = log, run
+        for index, view in enumerate(views):
+            view.log, view.index = log, index
         return views
 
     monkeypatch.setattr("pagescope.blockmesh._run_views", logged_views)
     assert run_kernel(PLANE_3VAR, pattern, 3, 1.0, alloc=alloc) == (
         3 * gen_trace(PLANE_3VAR, pattern).accesses)
-    # Pass 0 of a demand run writes run 0 before reading it, and nothing
-    # else: zone, block and var have one run, and sum2d's column sweep
-    # holds every element of its row sweep.
-    reads = [("read", run)
-             for run in range(len(_single_pass_runs(PLANE_3VAR, pattern)))]
+    # Pass 0 of a demand run writes view 0 (run 0) before reading it, and
+    # nothing else: zone, block and var have one run, and sum2d's column
+    # sweep holds every element of its row sweep. Each pass reads each view
+    # once: sum2d's row runs are one 2-D view.
+    views = _run_views(np.empty(PLANE_3VAR.elements), _single_pass_runs(PLANE_3VAR, pattern))
+    assert len(views) == (2 if pattern is TraversalPattern.RepeatedSum2D else 1)
+    reads = [("read", index) for index in range(len(views))]
     assert log == [("write", 0)] * (alloc == "demand") + reads * 3
+
+
+class _Element:
+    """An array element that logs its index into `log` each time it is an
+    operand of an addition."""
+
+    def __init__(self, index, log):
+        self.index, self.log = index, log
+
+    def __add__(self, other):
+        for operand in (self, other):
+            if isinstance(operand, _Element):
+                operand.log.append(operand.index)
+        return _PartialSum()
+
+
+class _PartialSum:
+    """A running sum: adding an element to it logs that element."""
+
+    def __add__(self, other):
+        if isinstance(other, _Element):
+            other.log.append(other.index)
+        return self
+
+
+@pytest.mark.parametrize("lay", [PLANE_3VAR, GUARDED_3VAR, UnkLayout.simple(2, 6, 3, 2, 1)],
+                         ids=["plane-3var", "guarded-3var", "non-square"])
+def test_kernel_reductions_visit_elements_in_trace_order(lay):
+    # Object items are 8 bytes wide, like doubles, so the views have the
+    # float64 run's strides and numpy iterates them in the same order.
+    log = []
+    arr = np.empty(lay.elements, dtype=object)
+    arr[:] = [_Element(index, log) for index in range(lay.elements)]
+    assert arr.itemsize == 8
+    views = _run_views(arr, _single_pass_runs(lay, TraversalPattern.RepeatedSum2D))
+    assert [view.ndim for view in views] == [1, 2]
+    for view in views:
+        _run_sums(view)
+    assert log == _single_pass_elements(lay, TraversalPattern.RepeatedSum2D).tolist()
+
+
+@pytest.mark.parametrize("runs", [
+    [(0, 3, 1), (3, 2, 1), (1, 3, 2)],   # counts or strides differ
+    [(4, 2, 1), (2, 2, 1), (0, 2, 1)],   # first elements step down
+    [(0, 2, 1), (0, 2, 1)],              # first elements do not step
+], ids=["unequal", "descending", "repeated"])
+def test_irregular_runs_stay_one_dimensional(runs):
+    arr = np.arange(12.0)
+    views = _run_views(arr, runs)
+    assert [view.ndim for view in views] == [1] * len(runs)
+    assert [view.tolist() for view in views] == [
+        arr[start:start + count * stride:stride].tolist() for start, count, stride in runs]
+
+
+def test_run_family_becomes_one_read_only_view():
+    arr = np.arange(12.0)
+    (view,) = _run_views(arr, [(0, 3, 4), (1, 3, 4), (2, 3, 4)])
+    assert view.tolist() == [[0, 4, 8], [1, 5, 9], [2, 6, 10]]
+    assert not view.flags.writeable
+    assert _run_sums(view) == [12.0, 15.0, 18.0]
+
+
+@pytest.mark.parametrize("runs", [
+    [(0, 4, 1), (4, 4, 1), (8, 4, 1)],   # a family whose last row overruns
+    [(9, 4, 1)],                         # a single run that overruns
+    [(-1, 2, 1)],
+], ids=["family", "single", "negative-start"])
+def test_runs_outside_the_array_are_rejected(runs):
+    with pytest.raises(ValueError, match="outside an array of 11 elements"):
+        _run_views(np.arange(11.0), runs)
+
+
+def _per_run_checksum(layout, passes, fill):
+    """run_kernel's checksum, one np.add.reduce call per run of each pass."""
+    arr = np.full(layout.elements, fill, dtype=np.float64)
+    checksum = 0.0
+    for _ in range(passes):
+        for start, count, stride in _single_pass_runs(layout, TraversalPattern.RepeatedSum2D):
+            checksum += float(np.add.reduce(arr[start:start + (count - 1) * stride + 1:stride]))
+    return checksum
+
+
+EXACT_FILLS = (0.0, 1.0, 1.5, -0.25)
+
+
+@given(layout=st.builds(UnkLayout.simple, nvar=st.integers(1, 4), ni=st.integers(1, 300),
+                        nj=st.integers(1, 300), nk=st.integers(1, 2),
+                        maxblocks=st.integers(1, 2)),
+       passes=st.integers(1, 3), alloc=st.sampled_from(["eager", "demand"]),
+       fill=st.sampled_from(EXACT_FILLS) | st.floats(-1e6, 1e6))
+@settings(max_examples=60, deadline=None)
+def test_sum2d_checksum_agrees_with_per_run_reduce(layout, passes, alloc, fill):
+    got = run_kernel(layout, TraversalPattern.RepeatedSum2D, passes, fill, alloc=alloc)
+    want = _per_run_checksum(layout, passes, fill)
+    # reduceat sums a row as x0 + pairwise(x[1:]), reduce as pairwise(x):
+    # the last bit may differ unless every partial sum is exact.
+    if fill in EXACT_FILLS:
+        assert got == want
+    else:
+        assert math.isclose(got, want, rel_tol=1e-12)
 
 
 def test_run_kernel_allocates_no_gather_temporary():

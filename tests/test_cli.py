@@ -193,6 +193,13 @@ PLANE_8 = {"nvar": 1, "i_lo": 1, "i_hi": 8, "j_lo": 1, "j_hi": 8, "k_lo": 1,
            "k_hi": 1, "maxblocks": 1, "elem_bytes": 8}
 
 
+def _increments(baseline_cycles):
+    """A config whose baseline role reads `baseline_cycles` per read."""
+    return {"simulated_increments": {
+        "baseline": {"PERF_COUNT_HW_CPU_CYCLES": baseline_cycles},
+        "treatment": {"PERF_COUNT_HW_CPU_CYCLES": 900}}}
+
+
 def _config_file(content):
     """Flags naming a config file that holds `content` as JSON."""
     def make_flags(tmp_path):
@@ -238,6 +245,12 @@ def _config_file(content):
     ["--n", "8", "--layout", "1,4,4,1,1"],
     ["--events", "DTLB-LOAD-MISSES"],
     _config_file({"events": "PERF_COUNT_HW_CPU_CYCLES"}),
+    _config_file(_increments(-5)),
+    _config_file(_increments(1.9)),
+    _config_file(_increments(True)),
+    _config_file(_increments(0)),
+    _config_file({"simulated_increments": {
+        "baseline": {"DTLB-LOAD-MISSES": 5}, "treatment": {"DTLB-LOAD-MISSES": 5}}}),
 ], ids=["n-0", "passes-0", "repetitions-0", "short-layout", "missing-config",
         "config-not-object", "config-workload-not-object",
         "config-layout-incomplete", "config-increments-not-object",
@@ -249,7 +262,10 @@ def _config_file(content):
         "config-freq-nan", "config-fill-null", "config-fill-string",
         "config-fill-bool", "config-fill-nan", "config-fill-huge-int",
         "config-alloc-unknown", "config-elem-bytes-4", "n-with-layout",
-        "events-without-cycles", "config-events-string"])
+        "events-without-cycles", "config-events-string",
+        "config-increment-negative", "config-increment-float",
+        "config-increment-bool", "config-cycles-increment-zero",
+        "config-cycles-increment-missing"])
 def test_bad_run_flags_are_bad_configuration(tmp_path, capsys, monkeypatch, flags):
     if callable(flags):
         flags = flags(tmp_path)
