@@ -5,15 +5,13 @@ column-major container indexed (variable, i, j, k, block), so consecutive
 blocks sit a large constant stride apart in memory. Walking blocks at a
 fixed zone therefore touches a new small page on every access, which is
 exactly the behavior the TLB simulator replays. This module does the
-address math and describes each traversal pattern once, as strided 1-D
-runs of elements. Those runs become both the byte-address traces the
-simulator replays and the array views a real allocate/fill/sum workload
-walks. A run family (consecutive runs of equal count and stride whose
-first elements step by one constant, such as sum2d's row sweep) is one
-read-only 2-D view, reduced once per pass with `np.add.reduceat`, which
-reads it row by row in trace order. An `np.add.reduce` over `axis=1` is
-not used: numpy would walk such a view in memory order, column by
-column, and time another address stream than the trace's.
+address math and describes each traversal pattern once, as run families:
+rows of strided runs whose first elements step by one constant. They
+become both the byte-address traces the simulator replays and the array
+views a real allocate/fill/sum workload walks. Each family is one 2-D
+view, reduced once per pass by `np.add.reduceat`, row by row in trace
+order; an `axis=1` reduce would walk a many-row view in memory order,
+column by column, another address stream than the trace's.
 
 A trace is a source of chunks, not an array. `AddressTrace.chunks` yields
 its byte offsets in access order, at most `CHUNK` at a time, from one
@@ -46,6 +44,7 @@ import numpy as np
 
 CHUNK = 1 << 15  # offsets per chunk of a streamed trace (256 KiB)
 ALLOC_STRATEGIES = ("eager", "demand")  # run_kernel's `alloc` values
+RunFamily = tuple[int, int, int, int, int]  # see _single_pass_runs
 
 
 class IndexOutOfBounds(IndexError):
@@ -311,68 +310,45 @@ def address_of(layout: UnkLayout, v: int, i: int, j: int, k: int, b: int) -> int
     return elem * layout.elem_bytes
 
 
-def _single_pass_runs(layout: UnkLayout,
-                      pattern: TraversalPattern) -> list[tuple[int, int, int]]:
-    """One traversal pass as 1-D runs (first element, count, element
-    stride), in access order: the only description of a pattern's shape.
-    The first run holds every element of the pass, as run_kernel's demand
-    fill needs: a sum2d pass's column sweep holds its row sweep."""
+def _single_pass_runs(layout: UnkLayout, pattern: TraversalPattern) -> list[RunFamily]:
+    """One traversal pass as run families (first element, count, element
+    stride, rows, row step), in access order: the only description of a
+    pattern's shape. Row r of a family is the run of `count` elements from
+    first + r * row_step at `stride`. The first family is one row holding
+    every element of the pass, as run_kernel's demand fill needs."""
     if pattern is TraversalPattern.ZoneSweep:
         # Column-major enumeration is the identity walk over the element space.
-        return [(0, layout.elements, 1)]
+        return [(0, layout.elements, 1, 1, 0)]
     if pattern is TraversalPattern.BlockSweep:
-        return [(0, layout.maxblocks, layout.nvar * layout.cells_per_block)]
+        return [(0, layout.maxblocks, layout.nvar * layout.cells_per_block, 1, 0)]
     if pattern is TraversalPattern.VarSweep:
-        return [(0, layout.nvar, 1)]
+        return [(0, layout.nvar, 1, 1, 0)]
     if pattern is TraversalPattern.RepeatedSum2D:
         ni, nj, nvar = layout.ni, layout.nj, layout.nvar
         # A column-order sweep (i fastest, contiguous) of the v=0, k=k_lo,
-        # b=0 plane, then a row-order sweep (j fastest, strided): one run
-        # per i.
-        return [(0, ni * nj, nvar)] + [(i * nvar, nj, ni * nvar) for i in range(ni)]
+        # b=0 plane, which holds every element of the row-order sweep (j
+        # fastest, strided) that follows it, one row per i.
+        return [(0, ni * nj, nvar, 1, 0), (0, nj, ni * nvar, ni, nvar)]
     raise ValueError(f"unknown pattern {pattern!r}")
 
 
-def _run_views(arr: np.ndarray, runs: list[tuple[int, int, int]]) -> list[np.ndarray]:
-    """Strided views of `arr` that hold the runs in order. Consecutive runs
-    of equal count and stride whose first elements step by one positive
-    constant (a run family, such as sum2d's row sweep) are one read-only
-    2-D view, row r being run r; any other run is a 1-D view with a
-    positive stride. A view whose last element lies outside `arr` is a
-    ValueError, never a silently shorter view."""
-    views, i = [], 0
-    while i < len(runs):
-        start, count, stride = runs[i]
-        j = i + 1
-        step = runs[j][0] - start if j < len(runs) else 0
-        while (j < len(runs) and step > 0 and runs[j][1:] == (count, stride)
-               and runs[j][0] - runs[j - 1][0] == step):
-            j += 1
-        rows = j - i
-        last = start + (rows - 1) * step + (count - 1) * stride
-        if start < 0 or last >= arr.size:
-            raise ValueError(f"runs from element {start} to {last} lie outside "
-                             f"an array of {arr.size} elements")
-        if rows == 1:
-            views.append(arr[start:last + 1:stride])
-        else:
-            views.append(np.lib.stride_tricks.as_strided(
-                arr[start:], shape=(rows, count),
-                strides=(step * arr.itemsize, stride * arr.itemsize),
-                writeable=False))
-        i = j
+def _run_views(arr: np.ndarray, families: list[RunFamily]) -> list[np.ndarray]:
+    """One (rows, count) view of `arr` per run family, in order. A family
+    with count, rows or stride below 1, a negative row step, or its lowest
+    (first) or highest (last) element outside `arr` is a ValueError, never
+    a shorter view. A one-row view is writeable (one run at a positive
+    stride cannot alias itself); a many-row view is read-only."""
+    views = []
+    for first, count, stride, rows, row_step in families:
+        last = first + (rows - 1) * row_step + (count - 1) * stride
+        if min(count, rows, stride) < 1 or min(first, row_step) < 0 or last >= arr.size:
+            raise ValueError(f"runs from element {first} to {last} are empty, step "
+                             f"back or lie outside an array of {arr.size} elements")
+        views.append(np.lib.stride_tricks.as_strided(
+            arr[first:], shape=(rows, count),
+            strides=(row_step * arr.itemsize, stride * arr.itemsize),
+            writeable=rows == 1))
     return views
-
-
-def _run_sums(view: np.ndarray) -> list:
-    """The sum of each run a `_run_views` view holds, in trace order. A 2-D
-    view is one `reduceat` call, which reads row r whole, in index order,
-    before row r + 1. `np.add.reduce(view, axis=1)` would give the same
-    sums but reads the view in memory order, column by column, which is
-    another address stream than the trace's."""
-    if view.ndim == 1:
-        return [np.add.reduce(view)]
-    return np.add.reduceat(view, [0], axis=1).ravel().tolist()
 
 
 def gen_trace(layout: UnkLayout, pattern: TraversalPattern,
@@ -382,8 +358,9 @@ def gen_trace(layout: UnkLayout, pattern: TraversalPattern,
     if passes < 1:
         raise ValueError("passes must be >= 1")
     eb = layout.elem_bytes
-    runs = tuple((start * eb, count, stride * eb)
-                 for start, count, stride in _single_pass_runs(layout, pattern))
+    runs = tuple(((first + r * row_step) * eb, count, stride * eb)
+                 for first, count, stride, rows, row_step
+                 in _single_pass_runs(layout, pattern) for r in range(rows))
     return AddressTrace(runs, eb, layout, pattern, passes)
 
 
@@ -393,18 +370,17 @@ def run_kernel(layout: UnkLayout, pattern: TraversalPattern, passes: int,
 
     alloc="eager" pretouches the whole array with the fill value before any
     pass; alloc="demand" leaves pages untouched until the traversal. A
-    pattern's first run holds every element a pass touches
-    (_single_pass_runs), so a demand run writes that run once, just before
+    pattern's first family is one run that holds every element a pass
+    touches (_single_pass_runs), so a demand run writes it once, just before
     the first pass reads it: each element is written once, at its first
     touch in access order. Page faults (and any transparent huge-page
     mapping) therefore happen under the measured region. The checksum is
     the sum over every traversed element, identical for both strategies.
-    Each pass reduces each strided view of the array (`_run_views`) with
-    one call, in trace order: a 1-D view with `np.add.reduce`, a run
-    family's 2-D view with `np.add.reduceat` (`_run_sums`), so a sum2d
-    pass's 2048 row runs cost one call, not 2048. The measured region reads
-    the array under test and allocates nothing the size of a pass. Each
-    run's sum is added to the checksum in trace order.
+    Each pass reduces each family's view (`_run_views`) with one
+    `np.add.reduceat(view, [0], axis=1)`, in trace order (module
+    docstring), so a sum2d pass's 2048 row runs cost one call, not 2048;
+    the row sums go to the checksum in row order. The measured region reads
+    the array under test and allocates nothing the size of a pass.
     """
     if alloc not in ALLOC_STRATEGIES:
         raise ValueError(f"alloc must be eager or demand, got {alloc!r}")
@@ -429,8 +405,8 @@ def run_kernel(layout: UnkLayout, pattern: TraversalPattern, passes: int,
     checksum = 0.0
     for _ in range(passes):
         for view in views:
-            for run_sum in _run_sums(view):
-                checksum += float(run_sum)
+            for row_sum in np.add.reduceat(view, [0], axis=1).ravel().tolist():
+                checksum += row_sum
     return checksum
 
 

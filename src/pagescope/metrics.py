@@ -13,6 +13,7 @@ as NaN or infinities.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .counterhub import EventId, RegionRecord
@@ -38,21 +39,23 @@ class CpuSpec:
     cache_line_bytes: int = DEFAULT_CACHE_LINE_BYTES
 
     def __post_init__(self):
-        if not (math.isfinite(self.freq_hz) and self.freq_hz > 0):
-            raise ValueError(f"freq_hz {self.freq_hz!r} must be finite and > 0")
-        if self.cache_line_bytes <= 0 or (self.cache_line_bytes &
-                                          (self.cache_line_bytes - 1)):
-            raise ValueError("cache_line_bytes must be a positive power of two")
+        freq, line = self.freq_hz, self.cache_line_bytes
+        if type(freq) not in (int, float) or not 0 < freq <= sys.float_info.max:
+            raise ValueError(f"freq_hz {freq!r} must be a finite number > 0")
+        if type(line) is not int or line <= 0 or line & (line - 1):
+            raise ValueError(f"cache_line_bytes {line!r} is not a power of two")
+        object.__setattr__(self, "freq_hz", float(freq))
 
     @classmethod
     def from_mapping(cls, mapping: dict, strict: bool = False) -> "CpuSpec":
         """Build from a config mapping; strict mode refuses to default the
         line size since it is the one constant reports cannot verify."""
+        if type(strict) is not bool:
+            raise ValueError(f"strict {strict!r} is not true or false")
         if strict and "line_bytes" not in mapping:
             raise ValueError("strict config requires an explicit line_bytes")
-        return cls(freq_hz=float(mapping.get("freq_hz", DEFAULT_FREQ_HZ)),
-                   cache_line_bytes=int(mapping.get("line_bytes",
-                                                    DEFAULT_CACHE_LINE_BYTES)))
+        return cls(freq_hz=mapping.get("freq_hz", DEFAULT_FREQ_HZ),
+                   cache_line_bytes=mapping.get("line_bytes", DEFAULT_CACHE_LINE_BYTES))
 
 
 @dataclass(frozen=True)

@@ -187,8 +187,9 @@ class ExperimentConfig:
             raise ValueError("baseline and treatment modes must differ")
         if self.backend not in ("simulated", "real"):
             raise ValueError(f"unknown backend {self.backend!r}")
-        if not self.monitor_cadence_s > 0:
-            raise ValueError("monitor_cadence_s must be > 0")
+        cadence = self.monitor_cadence_s
+        if type(cadence) not in (int, float) or not cadence > 0:
+            raise ValueError(f"monitor_cadence_s {cadence!r} is not a number > 0")
         if not isinstance(self.label, str):
             raise ValueError("label must be a string")
         if EventId.CpuCycles not in self.events:

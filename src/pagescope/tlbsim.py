@@ -55,7 +55,7 @@ claimed period that fails is read a second time, as one unverified pass.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
+from collections import OrderedDict, defaultdict
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -201,10 +201,10 @@ def _distinct(pages: np.ndarray) -> int:
 
 
 def lru_misses(pages: np.ndarray, sets: int, ways: int) -> int:
-    """Set-associative LRU replay, interpreted: one OrderedDict per set;
-    move-to-end on hit, popitem(last=False) evicts the least recently used
-    page."""
-    tlb = [OrderedDict() for _ in range(sets)]
+    """Set-associative LRU replay, interpreted: one OrderedDict per set the
+    pages touch, made at its first touch (memory follows the trace, not
+    `sets`); move-to-end on hit, popitem(last=False) evicts the LRU page."""
+    tlb = defaultdict(OrderedDict)
     misses = 0
     for page in pages.tolist():
         entry = tlb[page % sets]

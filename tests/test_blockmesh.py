@@ -12,7 +12,6 @@ from pagescope.blockmesh import (
     IndexOutOfBounds,
     TraversalPattern,
     UnkLayout,
-    _run_sums,
     _run_views,
     _single_pass_runs,
     address_of,
@@ -26,11 +25,18 @@ from pagescope.blockmesh import (
 LAYOUT = UnkLayout.simple(5, 16, 16, 16, 10)
 
 
+def _single_runs(layout: UnkLayout, pattern: TraversalPattern):
+    """One pass's run families expanded into runs (first, count, stride)."""
+    return [(first + r * row_step, count, stride)
+            for first, count, stride, rows, row_step in _single_pass_runs(layout, pattern)
+            for r in range(rows)]
+
+
 def _single_pass_elements(layout: UnkLayout, pattern: TraversalPattern) -> np.ndarray:
     """Element indices of one traversal pass, in access order: the plain
     np.arange reference that chunked and viewed walks are compared against."""
     parts = [np.arange(start, start + count * stride, stride, dtype=np.uint64)
-             for start, count, stride in _single_pass_runs(layout, pattern)]
+             for start, count, stride in _single_runs(layout, pattern)]
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
@@ -307,49 +313,44 @@ def test_kernel_reductions_visit_elements_in_trace_order(lay):
     arr[:] = [_Element(index, log) for index in range(lay.elements)]
     assert arr.itemsize == 8
     views = _run_views(arr, _single_pass_runs(lay, TraversalPattern.RepeatedSum2D))
-    assert [view.ndim for view in views] == [1, 2]
+    assert [view.shape[0] for view in views] == [1, lay.ni]
     for view in views:
-        _run_sums(view)
+        np.add.reduceat(view, [0], axis=1)
     assert log == _single_pass_elements(lay, TraversalPattern.RepeatedSum2D).tolist()
-
-
-@pytest.mark.parametrize("runs", [
-    [(0, 3, 1), (3, 2, 1), (1, 3, 2)],   # counts or strides differ
-    [(4, 2, 1), (2, 2, 1), (0, 2, 1)],   # first elements step down
-    [(0, 2, 1), (0, 2, 1)],              # first elements do not step
-], ids=["unequal", "descending", "repeated"])
-def test_irregular_runs_stay_one_dimensional(runs):
-    arr = np.arange(12.0)
-    views = _run_views(arr, runs)
-    assert [view.ndim for view in views] == [1] * len(runs)
-    assert [view.tolist() for view in views] == [
-        arr[start:start + count * stride:stride].tolist() for start, count, stride in runs]
 
 
 def test_run_family_becomes_one_read_only_view():
     arr = np.arange(12.0)
-    (view,) = _run_views(arr, [(0, 3, 4), (1, 3, 4), (2, 3, 4)])
+    (view,) = _run_views(arr, [(0, 3, 4, 3, 1)])
     assert view.tolist() == [[0, 4, 8], [1, 5, 9], [2, 6, 10]]
     assert not view.flags.writeable
-    assert _run_sums(view) == [12.0, 15.0, 18.0]
+    assert np.add.reduceat(view, [0], axis=1).ravel().tolist() == [12.0, 15.0, 18.0]
+    # One row is one run at a positive stride: writing it aliases nothing.
+    (row,) = _run_views(arr, [(1, 3, 4, 1, 0)])
+    assert row.tolist() == [[1, 5, 9]] and row.flags.writeable
 
 
-@pytest.mark.parametrize("runs", [
-    [(0, 4, 1), (4, 4, 1), (8, 4, 1)],   # a family whose last row overruns
-    [(9, 4, 1)],                         # a single run that overruns
-    [(-1, 2, 1)],
-], ids=["family", "single", "negative-start"])
-def test_runs_outside_the_array_are_rejected(runs):
+@pytest.mark.parametrize("family", [
+    (0, 4, 1, 3, 4),                     # a family whose last row overruns
+    (9, 4, 1, 1, 0),                     # a single run that overruns
+    (-1, 2, 1, 1, 0),
+    # Empty or backward families, whose first and last elements would not
+    # bound them.
+    (0, 0, 1, 1, 0), (0, 2, 1, 0, 1), (0, 2, 0, 1, 0), (0, 2, -1, 1, 0),
+    (4, 2, 1, 2, -2),
+], ids=["family", "single", "negative-start", "count-0", "rows-0", "stride-0",
+        "stride-negative", "row-step-negative"])
+def test_runs_outside_the_array_are_rejected(family):
     with pytest.raises(ValueError, match="outside an array of 11 elements"):
-        _run_views(np.arange(11.0), runs)
+        _run_views(np.arange(11.0), [family])
 
 
-def _per_run_checksum(layout, passes, fill):
+def _per_run_checksum(layout, pattern, passes, fill):
     """run_kernel's checksum, one np.add.reduce call per run of each pass."""
     arr = np.full(layout.elements, fill, dtype=np.float64)
     checksum = 0.0
     for _ in range(passes):
-        for start, count, stride in _single_pass_runs(layout, TraversalPattern.RepeatedSum2D):
+        for start, count, stride in _single_runs(layout, pattern):
             checksum += float(np.add.reduce(arr[start:start + (count - 1) * stride + 1:stride]))
     return checksum
 
@@ -360,18 +361,44 @@ EXACT_FILLS = (0.0, 1.0, 1.5, -0.25)
 @given(layout=st.builds(UnkLayout.simple, nvar=st.integers(1, 4), ni=st.integers(1, 300),
                         nj=st.integers(1, 300), nk=st.integers(1, 2),
                         maxblocks=st.integers(1, 2)),
+       pattern=st.sampled_from(list(TraversalPattern)),
        passes=st.integers(1, 3), alloc=st.sampled_from(["eager", "demand"]),
        fill=st.sampled_from(EXACT_FILLS) | st.floats(-1e6, 1e6))
-@settings(max_examples=60, deadline=None)
-def test_sum2d_checksum_agrees_with_per_run_reduce(layout, passes, alloc, fill):
-    got = run_kernel(layout, TraversalPattern.RepeatedSum2D, passes, fill, alloc=alloc)
-    want = _per_run_checksum(layout, passes, fill)
+@settings(max_examples=100, deadline=None)
+def test_checksum_agrees_with_per_run_reduce(layout, pattern, passes, alloc, fill):
+    got = run_kernel(layout, pattern, passes, fill, alloc=alloc)
+    want = _per_run_checksum(layout, pattern, passes, fill)
     # reduceat sums a row as x0 + pairwise(x[1:]), reduce as pairwise(x):
     # the last bit may differ unless every partial sum is exact.
     if fill in EXACT_FILLS:
         assert got == want
     else:
         assert math.isclose(got, want, rel_tol=1e-12)
+
+
+small_and_guarded_layouts = small_layouts | st.builds(
+    UnkLayout.with_guards, nvar=st.integers(1, 3), interior=st.integers(1, 4),
+    maxblocks=st.integers(1, 3), guards=st.integers(0, 2))
+
+
+@given(small_and_guarded_layouts, st.sampled_from(list(TraversalPattern)),
+       st.integers(1, 3))
+@settings(max_examples=100)
+def test_run_families_describe_one_pass(lay, pattern, passes):
+    families = _single_pass_runs(lay, pattern)
+    for first, count, stride, rows, row_step in families:
+        assert min(count, rows, stride) >= 1 and row_step >= 0
+        # With forward steps, first and last are the lowest and highest.
+        last = first + (rows - 1) * row_step + (count - 1) * stride
+        assert 0 <= first <= last < lay.elements
+    # Family 0 is one row holding every element of the pass: the demand
+    # fill writes it alone.
+    first, count, stride, rows, _ = families[0]
+    assert rows == 1
+    assert (set(_single_pass_elements(lay, pattern).tolist())
+            <= set(range(first, first + count * stride, stride)))
+    assert gen_trace(lay, pattern, passes).accesses == passes * sum(
+        count * rows for _, count, _, rows, _ in families)
 
 
 def test_run_kernel_allocates_no_gather_temporary():
@@ -489,7 +516,7 @@ def test_chunks_concatenate_to_the_offsets_within_passes(tmp_path, pattern):
     trace = gen_trace(SMALL, pattern, passes=passes)
     pass_len = trace.accesses // passes
     expected = np.tile(_single_pass_elements(SMALL, pattern) * np.uint64(8), passes)
-    longest = max(count for _, count, _ in _single_pass_runs(SMALL, pattern))
+    longest = max(count for _, count, _, _, _ in _single_pass_runs(SMALL, pattern))
     whole = next(k for k in (4, 3, 2) if longest % k == 0)
     # A pass longer than, as long as and shorter than a chunk; then a run
     # split into several whole chunks, and into chunks that do not divide

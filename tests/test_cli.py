@@ -251,6 +251,14 @@ def _config_file(content):
     _config_file(_increments(0)),
     _config_file({"simulated_increments": {
         "baseline": {"DTLB-LOAD-MISSES": 5}, "treatment": {"DTLB-LOAD-MISSES": 5}}}),
+    _config_file({"cpu": {"line_bytes": 2.5}}),
+    _config_file({"cpu": {"line_bytes": True}}),
+    _config_file({"cpu": {"line_bytes": "256"}}),
+    _config_file({"cpu": {"freq_hz": True}}),
+    _config_file({"cpu": {"freq_hz": "2e9"}}),
+    _config_file({"cpu": {"freq_hz": 10 ** 400}}),
+    _config_file({"strict": "no", "cpu": {"line_bytes": 256}}),
+    _config_file({"monitor_cadence_s": True}),
 ], ids=["n-0", "passes-0", "repetitions-0", "short-layout", "missing-config",
         "config-not-object", "config-workload-not-object",
         "config-layout-incomplete", "config-increments-not-object",
@@ -265,7 +273,10 @@ def _config_file(content):
         "events-without-cycles", "config-events-string",
         "config-increment-negative", "config-increment-float",
         "config-increment-bool", "config-cycles-increment-zero",
-        "config-cycles-increment-missing"])
+        "config-cycles-increment-missing", "config-line-bytes-float",
+        "config-line-bytes-bool", "config-line-bytes-string", "config-freq-bool",
+        "config-freq-string", "config-freq-huge-int", "config-strict-string",
+        "config-cadence-bool"])
 def test_bad_run_flags_are_bad_configuration(tmp_path, capsys, monkeypatch, flags):
     if callable(flags):
         flags = flags(tmp_path)

@@ -94,6 +94,12 @@ def test_cpuspec_strict_mode_requires_line_bytes():
     assert spec.cache_line_bytes == 128
 
 
+def test_cpuspec_integer_frequency_becomes_a_float():
+    # A report writes freq_hz as given: 2000000000 would read differently.
+    spec = CpuSpec.from_mapping({"freq_hz": 2_000_000_000})
+    assert type(spec.freq_hz) is float and spec.freq_hz == 2e9
+
+
 def _rows_by_label(rows):
     return {row.measure: row for row in rows}
 

@@ -223,6 +223,24 @@ def _full_replay(config: TlbConfig, trace) -> TlbStats:
     return TlbStats(int(pages.size), misses, int(np.unique(pages).size))
 
 
+def test_lru_memory_follows_the_sets_a_trace_touches():
+    import tracemalloc
+    # A sum2d pass revisits its 8 pages, so it reaches the LRU kernel.
+    trace = gen_trace(UnkLayout.simple(1, 64, 64, 1, 1), TraversalPattern.RepeatedSum2D,
+                      passes=2)
+    config = TlbConfig(entries=2 ** 16, associativity=1)
+    tracemalloc.start()
+    try:
+        stats = simulate(config, trace)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 ** 2
+    assert stats == _full_replay(config, trace)
+    # Direct-mapped, each page has its own set: only the 8 first touches miss.
+    assert stats == TlbStats(trace.accesses, 8, 8)
+
+
 def _tiled(one_pass: list[int], passes: int) -> AddressTrace:
     offsets = np.tile(np.array(one_pass, dtype=np.uint64) * np.uint64(PAGE_4K),
                       passes)
