@@ -1,13 +1,12 @@
-"""Hardware-counter sessions with named, nestable region attribution.
+"""Hardware-counter sessions and named region records.
 
 An event is one EventId member whose value is its platform name
 (`EventId("DTLB-LOAD-MISSES")` looks one up). A session reads a fixed set
 of cumulative event counters from a backend (the OS perf interface, or a
 deterministic simulated backend for desk-scale testing); a reading is a
-plain `dict[EventId, int]`. A RegionCollector brackets code with begin/end
-calls and merges the counter deltas into per-region records, PAPI-style:
-nesting is allowed, attribution is inclusive (a parent's totals include its
-children), and repeated regions of one name merge into one record.
+plain `dict[EventId, int]`. A caller brackets a region with two session
+reads and keeps their difference as a RegionRecord; records of one name
+merge into one, summing totals and region counts.
 """
 
 from __future__ import annotations
@@ -66,14 +65,6 @@ class PermissionDenied(_EventError):
 
 class CounterWentBackward(RuntimeError):
     """A cumulative counter decreased between reads; treated as corruption."""
-
-
-class MismatchedRegion(RuntimeError):
-    pass
-
-
-class NoOpenRegion(RuntimeError):
-    pass
 
 
 def default_events() -> frozenset[EventId]:
@@ -283,7 +274,7 @@ class RealOsBackend:
 
 
 # ---------------------------------------------------------------------------
-# Sessions and regions
+# Sessions
 # ---------------------------------------------------------------------------
 
 class CounterSession:
@@ -331,54 +322,3 @@ def open_session(backend, events: frozenset[EventId] | set[EventId]) -> CounterS
         raise UnknownEventName(f"not EventIds: {unknown}")
     backend.open(events)
     return CounterSession(backend, events)
-
-
-@dataclass
-class _OpenRegion:
-    name: str
-    snapshot: dict[EventId, int]
-
-
-class RegionCollector:
-    """begin/end bracketing with inclusive attribution into named records.
-
-    Empty region names are accepted: a long run should not abort on a
-    degenerate label, and tables print it as "(unnamed region)".
-    """
-
-    def __init__(self, session: CounterSession):
-        self.session = session
-        self._stack: list[_OpenRegion] = []
-        self._records: dict[str, RegionRecord] = {}
-
-    @property
-    def depth(self) -> int:
-        return len(self._stack)
-
-    def region_begin(self, name: str) -> _OpenRegion:
-        region = _OpenRegion(name, self.session.read())
-        self._stack.append(region)
-        return region
-
-    def region_end(self, name: str) -> RegionRecord:
-        if not self._stack:
-            raise NoOpenRegion(f"region_end({name!r}) with no open region")
-        innermost = self._stack[-1]
-        if innermost.name != name:
-            raise MismatchedRegion(
-                f"region_end({name!r}) but innermost open region is "
-                f"{innermost.name!r}")
-        self._stack.pop()
-        reading = self.session.read()
-        delta = {ev: reading[ev] - innermost.snapshot[ev]
-                 for ev in self.session.events}
-        record = RegionRecord(name, 1, delta)
-        if name in self._records:
-            self._records[name] = self._records[name].merged_with(record)
-        else:
-            self._records[name] = record
-        return record
-
-    def records(self) -> dict[str, RegionRecord]:
-        return {name: RegionRecord(r.name, r.region_count, dict(r.totals))
-                for name, r in self._records.items()}

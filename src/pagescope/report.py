@@ -1,15 +1,16 @@
 """Paired with/without huge-page experiment runs and their reports.
 
 An experiment runs the same workload under a baseline and a treatment
-huge-page mode, bracketing it with counter regions while a meminfo monitor
-watches for huge-page evidence, then reduces both runs to per-measure
-ratio rows. A report is one self-describing JSON-ready dict per experiment,
-saved under a hash of the canonical config, so simulated runs reproduce
-byte for byte.
+huge-page mode, reading its counters before and after each repetition
+while a meminfo monitor watches for huge-page evidence, then reduces both
+runs to per-measure ratio rows. A report is one self-describing JSON-ready
+dict per experiment, saved under a hash of the canonical config, so
+simulated runs reproduce byte for byte.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import platform
@@ -23,9 +24,9 @@ from pathlib import Path
 from . import blockmesh, render
 from .counterhub import (
     ALL_EVENTS,
+    CounterSession,
     EventId,
     RealOsBackend,
-    RegionCollector,
     RegionRecord,
     SimulatedBackend,
     open_session,
@@ -322,12 +323,11 @@ def _run_one_mode(config: ExperimentConfig, role: str,
     rep_records: list[RegionRecord] = []
     rep_elapsed: list[float] = []
     try:
-        # One session per role: its collector merges the repetitions.
+        # One session per role; each repetition reads it twice.
         with open_session(backend, config.events) as session:
-            collector = RegionCollector(session)
             for _ in range(config.repetitions):
                 record, elapsed, checksum = _run_rep(config.workload, mode,
-                                                     collector, now_s)
+                                                     session, now_s)
                 rep_records.append(record)
                 rep_elapsed.append(elapsed)
                 if before is not None and not threaded:
@@ -344,29 +344,28 @@ def _run_one_mode(config: ExperimentConfig, role: str,
         verdict = detect_usage(before, during or [before])
 
     per_rep_metrics = [derive(r, config.cpu) for r in rep_records]
-    run = run_dict(mode, collector.records()[config.workload.region_name],
+    run = run_dict(mode, functools.reduce(RegionRecord.merged_with, rep_records),
                    _median_metrics(per_rep_metrics), verdict,
                    statistics.median(rep_elapsed), checksum)
     return run, monitor
 
 
-def _run_rep(workload, mode, collector: RegionCollector, now_s):
-    """One repetition: t0, region begin, the kernel or the command, region
-    end, t1. Returns (this repetition's record, elapsed seconds, checksum
-    or None); `collector` also merges the record into the role's.
+def _run_rep(workload, mode, session: CounterSession, now_s):
+    """One repetition: t0, a session read, the kernel or the command, a
+    session read, t1. Returns (this repetition's record, whose totals are
+    the two reads' difference, elapsed seconds, checksum or None).
 
     In-process kernels ignore the launch plan's env/wrapper: the plan
     applies to spawned commands, while this process's mapping policy is
     whatever the host gave us.
     """
-    name = workload.region_name
     returncode, checksum = 0, None
     if workload.kind == EXTERNAL:
         # Only a spawned command needs it. Imported before t0, so the
         # first import's milliseconds land in no role's timed region.
         import subprocess
     t0 = now_s()
-    collector.region_begin(name)
+    begin = session.read()
     if workload.kind == EXTERNAL:
         plan = plan_launch(mode)
         try:
@@ -382,10 +381,12 @@ def _run_rep(workload, mode, collector: RegionCollector, now_s):
         checksum = blockmesh.run_kernel(
             workload.layout, blockmesh.WORKLOAD_PATTERNS[workload.kind],
             workload.passes, workload.fill, workload.alloc)
-    record = collector.region_end(name)
+    end = session.read()
     t1 = now_s()
     if returncode != 0:
         raise WorkloadFailed(mode, returncode)
+    record = RegionRecord(workload.region_name, 1,
+                          {ev: end[ev] - begin[ev] for ev in session.events})
     return record, elapsed_timer(t0, t1), checksum
 
 

@@ -239,7 +239,7 @@ def simulate(config: TlbConfig, trace) -> TlbStats:
     distinct = _distinct(pages)
     if distinct == pages.size:
         # Distinct-page passes (module docstring): no replay needed.
-        per_set = np.bincount(pages % config.sets)
+        per_set = np.unique(pages % config.sets, return_counts=True)[1]
         later = int(per_set[per_set > config.ways].sum())
         return TlbStats(runs.accesses, pages.size + (runs.passes - 1) * later,
                         distinct)

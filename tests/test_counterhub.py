@@ -1,26 +1,17 @@
 import pytest
-from hypothesis import given, strategies as st
 
 from pagescope import counterhub as ch
 from pagescope.counterhub import (
     ALL_EVENTS,
     CounterWentBackward,
     EventId,
-    MismatchedRegion,
-    NoOpenRegion,
     PermissionDenied,
-    RegionCollector,
     RegionRecord,
     SimulatedBackend,
     UnknownEventName,
     UnsupportedEvent,
     open_session,
 )
-
-
-def _collector(increments):
-    session = open_session(SimulatedBackend(increments), ALL_EVENTS)
-    return RegionCollector(session)
 
 
 def test_event_name_mapping_is_exact_and_injective():
@@ -68,70 +59,13 @@ def test_unknown_event_name_rejected(monkeypatch):
         ch.default_events()
 
 
-def test_region_delta_single_pair():
-    coll = _collector({EventId.CpuCycles: 500})
-    coll.region_begin("EOS")
-    record = coll.region_end("EOS")
-    assert record == RegionRecord("EOS", 1, record.totals)
-    assert record.totals[EventId.CpuCycles] == 500
-    assert coll.records()["EOS"].region_count == 1
-
-
 def test_two_pairs_merge():
-    coll = _collector({EventId.CpuCycles: 500})
-    for _ in range(2):
-        coll.region_begin("EOS")
-        coll.region_end("EOS")
-    merged = coll.records()["EOS"]
-    assert merged.region_count == 2
-    assert merged.totals[EventId.CpuCycles] == 1000
-
-
-def test_nesting_depth_and_inclusive_attribution():
-    coll = _collector({EventId.CpuCycles: 10})
-    coll.region_begin("hydro")
-    assert coll.depth == 1
-    coll.region_begin("flux")
-    assert coll.depth == 2
-    coll.region_end("flux")
-    coll.region_end("hydro")
-    assert coll.depth == 0
-    records = coll.records()
-    # Parent totals include the nested child's interval.
-    assert records["hydro"].totals[EventId.CpuCycles] >= \
-        records["flux"].totals[EventId.CpuCycles]
-
-
-def test_sibling_children_totals_bounded_by_parent():
-    coll = _collector({EventId.CpuCycles: 7})
-    coll.region_begin("parent")
-    for name in ("a", "b"):
-        coll.region_begin(name)
-        coll.region_end(name)
-    coll.region_end("parent")
-    records = coll.records()
-    child_sum = sum(records[n].totals[EventId.CpuCycles] for n in ("a", "b"))
-    assert child_sum <= records["parent"].totals[EventId.CpuCycles]
-
-
-def test_empty_region_name_accepted():
-    coll = _collector({})
-    coll.region_begin("")
-    record = coll.region_end("")
-    assert record.name == ""
-
-
-def test_mismatched_region():
-    coll = _collector({})
-    coll.region_begin("A")
-    with pytest.raises(MismatchedRegion):
-        coll.region_end("B")
-
-
-def test_end_without_begin():
-    coll = _collector({})
-    with pytest.raises(NoOpenRegion):
-        coll.region_end("A")
+    # A role's record is its repetitions' records merged in order.
+    one = RegionRecord("EOS", 1, {EventId.CpuCycles: 500})
+    merged = one.merged_with(one)
+    assert merged == RegionRecord("EOS", 2, {EventId.CpuCycles: 1000})
+    with pytest.raises(ValueError):
+        one.merged_with(RegionRecord("Hydro", 1, {}))
 
 
 def test_session_reads_monotonic():
@@ -165,41 +99,6 @@ def test_counter_went_backward_detected():
     session.read()
     with pytest.raises(CounterWentBackward):
         session.read()
-
-
-def _run_script(tree, coll, depth=0):
-    """Begin/end regions following a nesting tree; returns node count."""
-    nodes = 0
-    for i, sub in enumerate(tree):
-        name = f"r{depth}.{i}"
-        coll.region_begin(name)
-        nodes += _run_script(sub, coll, depth + 1)
-        coll.region_end(name)
-        nodes += 1
-    return nodes
-
-
-nesting_trees = st.recursive(st.just([]),
-                             lambda kids: st.lists(kids, max_size=3),
-                             max_leaves=12)
-
-
-@given(nesting_trees)
-def test_balanced_scripts_leave_depth_zero(tree):
-    coll = _collector({EventId.CpuCycles: 1})
-    ends = _run_script(tree, coll)
-    assert coll.depth == 0
-    assert sum(r.region_count for r in coll.records().values()) == ends
-
-
-@given(nesting_trees)
-def test_identical_scripts_identical_records(tree):
-    results = []
-    for _ in range(2):
-        coll = _collector({ev: 11 for ev in EventId})
-        _run_script(tree, coll)
-        results.append(coll.records())
-    assert results[0] == results[1]
 
 
 def test_realos_permission_denied(monkeypatch):

@@ -20,6 +20,7 @@ from pagescope.hugepagectl import (
 )
 from pagescope.metrics import (LABEL_BANDWIDTH, LABEL_DTLB, LABEL_TIMER,
                                DerivedMetrics, RatioRow)
+from pagescope import report as report_module
 from pagescope.report import (
     CounterUnavailable,
     ExperimentConfig,
@@ -86,13 +87,32 @@ def test_proportional_dtlb_increments_reproduce_reference_ratio():
     assert _rows(report)[LABEL_DTLB].ratio == pytest.approx(0.047, abs=0.001)
 
 
-def test_repetitions_aggregate_by_median():
+def test_repetitions_aggregate_by_median(monkeypatch):
+    backends = []
+
+    class CountingBackend(report_module.SimulatedBackend):
+        def __init__(self, increments):
+            super().__init__(increments)
+            self.reads = 0
+            backends.append(self)
+
+        def read(self, events):
+            self.reads += 1
+            return super().read(events)
+
+    monkeypatch.setattr(report_module, "SimulatedBackend", CountingBackend)
     config = sim_config(BASE_INC, BASE_INC, repetitions=3)
     report = run_experiment(config, fs=zero_fs())
-    region = report["runs"]["baseline"]["regions"]["zone-sweep"]
-    assert region["region_count"] == 3
-    # Median of identical simulated reps equals the single-rep value.
-    assert region["metrics"]["hw_cycles"] == BASE_INC[EventId.CpuCycles]
+    # Each repetition reads its role's session once before and once after.
+    assert [b.reads for b in backends] == [2 * 3, 2 * 3]
+    for role in ("baseline", "treatment"):
+        region = report["runs"][role]["regions"]["zone-sweep"]
+        assert region["region_count"] == 3
+        # The role's record sums its repetitions' deltas.
+        assert region["totals"] == {ev.value: 3 * inc
+                                    for ev, inc in BASE_INC.items()}
+        # Median of identical simulated reps equals the single-rep value.
+        assert region["metrics"]["hw_cycles"] == BASE_INC[EventId.CpuCycles]
 
 
 def test_treatment_meminfo_evidence_yields_active_verdict():
@@ -270,6 +290,14 @@ def test_render_table_unavailable_measure():
     bandwidth_row = [l for l in table.splitlines()
                      if l.startswith(LABEL_BANDWIDTH)][0]
     assert bandwidth_row.count("n/a") == 2
+
+
+def test_render_table_labels_an_unnamed_region():
+    record = RegionRecord("", 1, {EventId.CpuCycles: 10 ** 9})
+    metrics = DerivedMetrics(1e9, 1e9 / 1.8e9, None, None, None)
+    run = run_dict(HugePageMode.Off, record, metrics, UsageVerdict.inactive(), 1.0)
+    report = {"runs": {"baseline": run, "treatment": run}}
+    assert render_table(report).splitlines()[0] == "Region: (unnamed region)"
 
 
 def test_render_csv_full_precision():

@@ -241,6 +241,23 @@ def test_lru_memory_follows_the_sets_a_trace_touches():
     assert stats == TlbStats(trace.accesses, 8, 8)
 
 
+def test_distinct_page_memory_follows_the_sets_a_trace_touches():
+    import tracemalloc
+    # Three distinct pages, one of them in the last of 2**22 sets.
+    trace = _tiled([0, 2 ** 22 - 1, 5], 2)
+    config = TlbConfig(entries=2 ** 22, associativity=1)
+    tracemalloc.start()
+    try:
+        with mock.patch.object(tlbsim, "lru_misses",
+                               side_effect=AssertionError("replayed")):
+            stats = simulate(config, trace)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 ** 2
+    assert stats == _full_replay(config, trace)
+
+
 def _tiled(one_pass: list[int], passes: int) -> AddressTrace:
     offsets = np.tile(np.array(one_pass, dtype=np.uint64) * np.uint64(PAGE_4K),
                       passes)
