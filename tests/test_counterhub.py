@@ -1,6 +1,7 @@
 import pytest
 
 from pagescope import counterhub as ch
+from pagescope.blockmesh import UnkLayout
 from pagescope.counterhub import (
     ALL_EVENTS,
     CounterWentBackward,
@@ -12,6 +13,8 @@ from pagescope.counterhub import (
     UnsupportedEvent,
     open_session,
 )
+from pagescope.hugepagectl import HugePageMode
+from pagescope.report import WorkloadSpec, _run_rep
 
 
 def test_event_name_mapping_is_exact_and_injective():
@@ -57,6 +60,23 @@ def test_unknown_event_name_rejected(monkeypatch):
     monkeypatch.setenv(ch.PAPI_EVENTS_ENV, "NOT_AN_EVENT")
     with pytest.raises(UnknownEventName):
         ch.default_events()
+
+
+def test_region_delta_single_pair():
+    # One repetition brackets its kernel with two session reads; its record
+    # is one region whose totals are the reads' difference.
+    session = open_session(SimulatedBackend({EventId.CpuCycles: 500}),
+                           ALL_EVENTS)
+    session.read()  # a nonzero start, so only a difference reads 500
+    workload = WorkloadSpec(kind="zone-sweep",
+                            layout=UnkLayout.simple(2, 4, 4, 2, 2))
+    clock = iter([1.0, 3.0])
+    record, elapsed, _ = _run_rep(workload, HugePageMode.Off, session,
+                                  lambda: next(clock))
+    assert record == RegionRecord("zone-sweep", 1, record.totals)
+    assert record.totals[EventId.CpuCycles] == 500
+    assert record.totals[EventId.DtlbLoadMisses] == 0
+    assert elapsed == 2.0
 
 
 def test_two_pairs_merge():
