@@ -36,6 +36,7 @@ import enum
 import itertools
 import json
 import os
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -365,7 +366,8 @@ def gen_trace(layout: UnkLayout, pattern: TraversalPattern,
 
 
 def run_kernel(layout: UnkLayout, pattern: TraversalPattern, passes: int,
-               fill: float, alloc: str = "eager") -> float:
+               fill: float, alloc: str = "eager",
+               touched: Callable[[], None] = lambda: None) -> float:
     """Allocate the array, fill it, and sum it along the traversal.
 
     alloc="eager" pretouches the whole array with the fill value before any
@@ -381,6 +383,8 @@ def run_kernel(layout: UnkLayout, pattern: TraversalPattern, passes: int,
     docstring), so a sum2d pass's 2048 row runs cost one call, not 2048;
     the row sums go to the checksum in row order. The measured region reads
     the array under test and allocates nothing the size of a pass.
+    `touched()` is called once, after every element is written and before
+    the first pass, so a caller can read what backs the whole, live array.
     """
     if alloc not in ALLOC_STRATEGIES:
         raise ValueError(f"alloc must be eager or demand, got {alloc!r}")
@@ -402,6 +406,7 @@ def run_kernel(layout: UnkLayout, pattern: TraversalPattern, passes: int,
     views = _run_views(arr, _single_pass_runs(layout, pattern))
     if alloc == "demand":
         views[0][...] = fill
+    touched()
     checksum = 0.0
     for _ in range(passes):
         for view in views:

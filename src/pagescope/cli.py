@@ -151,7 +151,7 @@ def _build_run_config(args):
             layout = blockmesh.UnkLayout.simple(1, args.n, args.n, 1, 1).to_dict()
         elif args.layout is not None:
             layout = _parse_layout(args.layout).to_dict()
-        command = [c for c in args.command if c != "--"]
+        command = args.command[1:] if args.command[:1] == ["--"] else args.command
         d["workload"] = ({"kind": report.EXTERNAL, "argv": command} if command else
                          {**_object(d["workload"], "workload"),
                           **_given(kind=args.workload, layout=layout,

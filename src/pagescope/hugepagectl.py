@@ -12,14 +12,11 @@ meminfo snapshots taken before and during a run.
 from __future__ import annotations
 
 import enum
-import threading
 from dataclasses import dataclass, field
 
 MEMINFO_PATH = "/proc/meminfo"
 THP_ENABLED_PATH = "/sys/kernel/mm/transparent_hugepage/enabled"
 PERF_PARANOID_PATH = "/proc/sys/kernel/perf_event_paranoid"
-
-DEFAULT_CADENCE_S = 1.0
 
 # Node provisioning the harness documents but never applies.
 BOOT_PARAM_CHECKLIST = (
@@ -68,8 +65,8 @@ class FixtureFs:
     """Replayable fixture filesystem.
 
     A path maps either to one document or to a list of documents handed out
-    on successive reads (the last one repeats), which scripts the view a
-    polling monitor would have seen during a run.
+    on successive reads (the last one repeats), which scripts the samples
+    a run takes, in the order it takes them.
     """
 
     def __init__(self, files: dict[str, str | list[str]]):
@@ -318,23 +315,19 @@ def detect_usage(before: MeminfoSnapshot,
 
 
 # ---------------------------------------------------------------------------
-# Polling monitor
+# Meminfo sampling
 # ---------------------------------------------------------------------------
 
 class MeminfoMonitor:
-    """Polls meminfo into a list while a workload runs.
+    """Reads meminfo snapshots on the caller's thread and counts the reads.
 
-    Only the polling thread appends to the list, and `stop` joins that
-    thread before it hands the list over, so no lock is needed; snapshot
-    parsing is pure so the thread shares nothing mutable with the workload.
+    The caller takes each sample itself, at the points of its run it
+    chooses (report._run_one_mode names them), so nothing runs beside the
+    workload and nothing is shared with it.
     """
 
-    def __init__(self, fs, cadence_s: float = DEFAULT_CADENCE_S):
+    def __init__(self, fs):
         self.fs = fs
-        self.cadence_s = cadence_s
-        self._snaps: list[MeminfoSnapshot] = []
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
         self.samples = 0  # reads attempted through sample()
         self.dropped = 0  # of those, reads that failed
 
@@ -344,30 +337,10 @@ class MeminfoMonitor:
     def sample(self) -> MeminfoSnapshot | None:
         """One poll, or None when meminfo cannot be read or parsed; a
         failed read is counted in `dropped` instead of raising, so one bad
-        read neither kills the polling thread nor goes unreported."""
+        read neither ends the run nor goes unreported."""
         self.samples += 1
         try:
             return self.poll_once()
         except (OSError, ValueError):
             self.dropped += 1
             return None
-
-    def _run(self) -> None:
-        while not self._stop.is_set():
-            snap = self.sample()
-            if snap is not None:
-                self._snaps.append(snap)
-            self._stop.wait(self.cadence_s)
-
-    def start(self) -> None:
-        self._stop.clear()
-        self._thread = threading.Thread(target=self._run, daemon=True)
-        self._thread.start()
-
-    def stop(self) -> list[MeminfoSnapshot]:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join()
-            self._thread = None
-        snaps, self._snaps = self._snaps, []
-        return snaps

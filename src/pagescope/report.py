@@ -1,15 +1,16 @@
 """Paired with/without huge-page experiment runs and their reports.
 
 An experiment runs the same workload under a baseline and a treatment
-huge-page mode, reading its counters before and after each repetition
-while a meminfo monitor watches for huge-page evidence, then reduces both
-runs to per-measure ratio rows. A report is one self-describing JSON-ready
-dict per experiment, saved under a hash of the canonical config, so
-simulated runs reproduce byte for byte.
+huge-page mode, reading its counters before and after each repetition and
+sampling meminfo for huge-page evidence on the same thread, at points the
+run names, then reduces both runs to per-measure ratio rows. A report is
+one self-describing JSON-ready dict per experiment, saved under a hash of
+the canonical config, so simulated runs reproduce byte for byte.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import os
@@ -34,7 +35,6 @@ from .counterhub import (
 )
 from .hugepagectl import (
     BOOT_PARAM_CHECKLIST,
-    FixtureFs,
     HugePageMode,
     MeminfoMonitor,
     PERF_PARANOID_PATH,
@@ -238,9 +238,10 @@ class ExperimentConfig:
             _reject_unknown_keys(d.get("cpu", {}), ["freq_hz", "line_bytes"], "cpu")
             names = _string_list(d.get("events", []), "events")
             events = parse_event_names(",".join(names)) if names else ALL_EVENTS
-            incs = {
-                role: {EventId(name): v for name, v in table.items()}
-                for role, table in d.get("simulated_increments", {}).items()}
+            sim = d.get("simulated_increments", {})
+            _reject_unknown_keys(sim, ["baseline", "treatment"], "simulated_increments")
+            incs = {role: {EventId(name): v for name, v in table.items()}
+                    for role, table in sim.items()}
             return cls(
                 workload=WorkloadSpec.from_dict(d["workload"]),
                 baseline=HugePageMode(d.get("baseline", "off")),
@@ -313,29 +314,24 @@ def _run_one_mode(config: ExperimentConfig, role: str,
     def now_s() -> float:
         return backend.now_ns() / 1e9 if simulated else time.perf_counter()
 
-    monitor = MeminfoMonitor(fs, config.monitor_cadence_s)
+    monitor = MeminfoMonitor(fs)
     before = monitor.sample()
-    threaded = before is not None and not isinstance(fs, FixtureFs)
-    if threaded:
-        monitor.start()
-
     during = []
+
+    def sample() -> None:
+        if before is not None:  # without a baseline, a later sample shows nothing
+            during.append(monitor.sample())
+
     rep_records: list[RegionRecord] = []
     rep_elapsed: list[float] = []
-    try:
-        # One session per role; each repetition reads it twice.
-        with open_session(backend, config.events) as session:
-            for _ in range(config.repetitions):
-                record, elapsed, checksum = _run_rep(config.workload, mode,
-                                                     session, now_s)
-                rep_records.append(record)
-                rep_elapsed.append(elapsed)
-                if before is not None and not threaded:
-                    during.append(monitor.sample())
-    finally:
-        if threaded:
-            during.extend(monitor.stop())
-            during.append(monitor.sample())
+    # One session per role; each repetition reads it twice.
+    with open_session(backend, config.events) as session:
+        for _ in range(config.repetitions):
+            record, elapsed, checksum = _run_rep(
+                config.workload, mode, session, now_s, sample,
+                config.monitor_cadence_s)
+            rep_records.append(record)
+            rep_elapsed.append(elapsed)
 
     during = [snap for snap in during if snap is not None]
     if before is None:
@@ -350,10 +346,13 @@ def _run_one_mode(config: ExperimentConfig, role: str,
     return run, monitor
 
 
-def _run_rep(workload, mode, session: CounterSession, now_s):
+def _run_rep(workload, mode, session: CounterSession, now_s, sample, cadence_s):
     """One repetition: t0, a session read, the kernel or the command, a
     session read, t1. Returns (this repetition's record, whose totals are
-    the two reads' difference, elapsed seconds, checksum or None).
+    the two reads' difference, elapsed seconds, checksum or None). Between
+    the reads, `sample()` takes each meminfo sample on this thread: once a
+    built-in kernel's array is fully written (run_kernel's `touched`), or
+    every `cadence_s` while a command runs and once when it has exited.
 
     In-process kernels ignore the launch plan's env/wrapper: the plan
     applies to spawned commands, while this process's mapping policy is
@@ -369,18 +368,26 @@ def _run_rep(workload, mode, session: CounterSession, now_s):
     if workload.kind == EXTERNAL:
         plan = plan_launch(mode)
         try:
-            returncode = subprocess.run(
+            proc = subprocess.Popen(
                 plan.command(list(workload.argv)),
                 env=plan.environ(dict(os.environ)),
-                capture_output=True).returncode
+                stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
         except FileNotFoundError as exc:
             # Shell convention for command-not-found; usually the mode's
             # wrapper tool is missing, which doctor() flags in advance.
             raise WorkloadFailed(mode, 127) from exc
+        with proc:
+            try:
+                while (returncode := proc.poll()) is None:
+                    with contextlib.suppress(subprocess.TimeoutExpired):
+                        proc.wait(timeout=cadence_s)  # returns at exit
+                    sample()
+            finally:
+                proc.kill()  # a no-op once reaped; ends an interrupted wait's child
     else:
         checksum = blockmesh.run_kernel(
             workload.layout, blockmesh.WORKLOAD_PATTERNS[workload.kind],
-            workload.passes, workload.fill, workload.alloc)
+            workload.passes, workload.fill, workload.alloc, touched=sample)
     end = session.read()
     t1 = now_s()
     if returncode != 0:

@@ -274,7 +274,7 @@ def test_criterion_10_real_memory_smoke():
     if thp is ThpMode.Madvise:
         pytest.skip("THP in madvise mode: plain allocations stay on 4 KiB pages")
     try:
-        monitor = MeminfoMonitor(fs, cadence_s=0.02)
+        monitor = MeminfoMonitor(fs)
         before = monitor.poll_once()
     except (OSError, ValueError):
         pytest.skip("/proc/meminfo lacks huge-page fields on this host")
@@ -287,14 +287,13 @@ def test_criterion_10_real_memory_smoke():
     n = 16384  # n*n doubles = 2 GiB, demand-faulted in traversal order
     layout = UnkLayout.simple(1, n, n, 1, 1)
     assert layout.total_bytes >= SMOKE_BYTES
-    monitor.start()
-    try:
-        checksum = run_kernel(layout, TraversalPattern.RepeatedSum2D, 1, 1.0,
-                              alloc="demand")
-    finally:
-        during = monitor.stop()
-    during.append(monitor.poll_once())
+    # Sampled once the whole array is written and before it is released.
+    during = []
+    checksum = run_kernel(layout, TraversalPattern.RepeatedSum2D, 1, 1.0,
+                          alloc="demand",
+                          touched=lambda: during.append(monitor.poll_once()))
     assert checksum == 2.0 * n * n
+    assert len(during) == 1
     verdict = detect_usage(before, during)
     assert verdict.state == "active", verdict
     assert any(field == "anon_huge_kb" for field, _ in verdict.evidence), verdict

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pagescope.blockmesh import (
+    ALLOC_STRATEGIES,
     AddressTrace,
     AllocationFailure,
     IndexOutOfBounds,
@@ -206,6 +207,16 @@ def test_block_stride_exceeds_small_page_for_default_geometry():
 
 
 SMALL = UnkLayout.simple(2, 4, 4, 4, 3)
+
+
+@pytest.mark.parametrize("alloc", ALLOC_STRATEGIES)
+@pytest.mark.parametrize("passes", [1, 3])
+def test_run_kernel_calls_touched_once_per_call(alloc, passes):
+    calls = []
+    total = run_kernel(SMALL, TraversalPattern.ZoneSweep, passes, 1.0,
+                       alloc=alloc, touched=lambda: calls.append(1))
+    assert calls == [1]
+    assert total == passes * SMALL.elements
 
 
 def test_checksum_sum_of_ones():

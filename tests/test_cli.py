@@ -95,6 +95,19 @@ def test_run_external_success_uses_main_region(tmp_path, capsys):
     assert "main" in data["runs"]["baseline"]["regions"]
 
 
+def test_run_keeps_a_double_dash_inside_the_external_command(tmp_path, capsys):
+    # Only the separator before the command is dropped; the command's own
+    # "--" reaches it, and it exits 5 if it does not.
+    check = "import sys; sys.exit(0 if sys.argv[1:] == ['--', 'x'] else 5)"
+    rc = main(["run", "--simulate-counters", "--mode-a", "off",
+               "--mode-b", "preload", "--out", str(tmp_path), "--",
+               sys.executable, "-c", check, "--", "x"])
+    assert rc == 0, capsys.readouterr().err
+    data = json.loads(next(tmp_path.glob("report-*.json")).read_text())
+    assert data["config"]["workload"]["argv"] == [sys.executable, "-c", check,
+                                                  "--", "x"]
+
+
 def test_doctor_runs_and_reports(capsys):
     assert main(["doctor"]) == 0
     out = capsys.readouterr().out
@@ -259,6 +272,10 @@ def _config_file(content):
     _config_file({"cpu": {"freq_hz": 10 ** 400}}),
     _config_file({"strict": "no", "cpu": {"line_bytes": 256}}),
     _config_file({"monitor_cadence_s": True}),
+    _config_file({"simulated_increments": {
+        "baseline": {"PERF_COUNT_HW_CPU_CYCLES": 900},
+        "treatment": {"PERF_COUNT_HW_CPU_CYCLES": 900},
+        "treatmnet": {"PERF_COUNT_HW_CPU_CYCLES": 900}}}),
 ], ids=["n-0", "passes-0", "repetitions-0", "short-layout", "missing-config",
         "config-not-object", "config-workload-not-object",
         "config-layout-incomplete", "config-increments-not-object",
@@ -276,7 +293,7 @@ def _config_file(content):
         "config-cycles-increment-missing", "config-line-bytes-float",
         "config-line-bytes-bool", "config-line-bytes-string", "config-freq-bool",
         "config-freq-string", "config-freq-huge-int", "config-strict-string",
-        "config-cadence-bool"])
+        "config-cadence-bool", "config-increments-unknown-role"])
 def test_bad_run_flags_are_bad_configuration(tmp_path, capsys, monkeypatch, flags):
     if callable(flags):
         flags = flags(tmp_path)

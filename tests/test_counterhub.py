@@ -72,7 +72,7 @@ def test_region_delta_single_pair():
                             layout=UnkLayout.simple(2, 4, 4, 2, 2))
     clock = iter([1.0, 3.0])
     record, elapsed, _ = _run_rep(workload, HugePageMode.Off, session,
-                                  lambda: next(clock))
+                                  lambda: next(clock), lambda: None, 1.0)
     assert record == RegionRecord("zone-sweep", 1, record.totals)
     assert record.totals[EventId.CpuCycles] == 500
     assert record.totals[EventId.DtlbLoadMisses] == 0

@@ -236,30 +236,27 @@ def test_write_thp_needs_explicit_opt_in():
     assert fs.written == [(THP_ENABLED_PATH, "always")]
 
 
-def test_monitor_poll_once_and_thread_drain():
+def test_monitor_samples_in_the_order_they_are_taken():
     fs = FixtureFs({MEMINFO_PATH: [meminfo_text(),
                                    meminfo_text(anon_kb=4096),
                                    meminfo_text(anon_kb=8192)]})
-    monitor = MeminfoMonitor(fs, cadence_s=0.001)
+    monitor = MeminfoMonitor(fs)
     before = monitor.poll_once()
-    monitor.start()
-    import time
-    time.sleep(0.05)
-    during = monitor.stop()
-    assert during, "thread should have delivered snapshots"
+    during = [monitor.sample(), monitor.sample()]
+    assert [snap.anon_huge_kb for snap in during] == [4096, 8192]
+    assert (monitor.samples, monitor.dropped) == (2, 0)
     verdict = detect_usage(before, during)
     assert verdict.state == "active"
-    assert verdict.evidence[0][0] == "anon_huge_kb"
+    assert verdict.evidence == (("anon_huge_kb", 8192),)
 
 
-def test_monitor_thread_counts_unreadable_samples():
+def test_monitor_counts_unreadable_samples():
     fs = FixtureFs({MEMINFO_PATH: ["AnonHugePages: x kB\n",
                                    meminfo_text(anon_kb=4096)]})
-    monitor = MeminfoMonitor(fs, cadence_s=0.001)
-    monitor.start()
-    import time
-    time.sleep(0.05)
-    during = monitor.stop()
+    monitor = MeminfoMonitor(fs)
+    snaps = [monitor.sample() for _ in range(3)]
+    assert snaps[0] is None
     assert monitor.dropped == 1
-    assert monitor.samples == len(during) + 1
+    assert monitor.samples == 3
+    during = [snap for snap in snaps if snap is not None]
     assert during and all(snap.anon_huge_kb == 4096 for snap in during)

@@ -2,13 +2,15 @@ import csv
 import io
 import json
 import re
+import sys
+import time
 from xml.etree import ElementTree
 
 import pytest
 
 from pagescope.blockmesh import UnkLayout
 from pagescope.counterhub import (ALL_EVENTS, EventId, RealOsBackend, RegionRecord,
-                                  UnknownEventName)
+                                  SimulatedBackend, UnknownEventName, open_session)
 from pagescope.hugepagectl import (
     MEMINFO_PATH,
     PERF_PARANOID_PATH,
@@ -26,6 +28,7 @@ from pagescope.report import (
     ExperimentConfig,
     WorkloadFailed,
     WorkloadSpec,
+    _run_rep,
     doctor,
     render_csv,
     render_ratio_chart,
@@ -145,6 +148,42 @@ def test_external_workload_roundtrip():
     # Both kinds of workload are timed inside the same bracket, so the
     # neutral simulated table has a timer ratio of 1 here too.
     assert _rows(report, region="main")[LABEL_TIMER].ratio == 1.0
+
+
+def test_external_command_is_sampled_while_it_runs():
+    # The baseline reads meminfo before it starts, every 0.05 s while the
+    # child sleeps and once after it exits. Only the third read differs,
+    # and only a second sample taken while the child runs reaches it.
+    zero, anon = meminfo_text(), meminfo_text(anon_kb=4096)
+    fs = FixtureFs({MEMINFO_PATH: [zero, zero, anon, zero]})
+    config = ExperimentConfig(
+        workload=WorkloadSpec(kind="external", argv=(
+            sys.executable, "-c", "import time; time.sleep(0.5)")),
+        treatment=HugePageMode.PreloadHugetlbfs,
+        monitor_cadence_s=0.05,
+        backend="simulated",
+        simulated_increments={"baseline": BASE_INC, "treatment": BASE_INC},
+        label="sampled")
+    report = run_experiment(config, fs=fs)
+    verdict = report["runs"]["baseline"]["verdict"]
+    assert verdict["state"] == "active"
+    assert verdict["evidence"] == [["anon_huge_kb", 4096]]
+
+
+def test_interrupted_wait_kills_the_command():
+    # A sample that raises leaves the wait loop; the child is killed, so
+    # the repetition ends at once instead of after the child's 30 s.
+    def interrupt():
+        raise RuntimeError("interrupted")
+
+    workload = WorkloadSpec(kind="external", argv=(
+        sys.executable, "-c", "import time; time.sleep(30)"))
+    session = open_session(SimulatedBackend(BASE_INC), ALL_EVENTS)
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match="interrupted"):
+        _run_rep(workload, HugePageMode.Off, session, time.monotonic,
+                 interrupt, 0.05)
+    assert time.monotonic() - start < 10
 
 
 def test_missing_wrapper_tool_maps_to_workload_failure():
