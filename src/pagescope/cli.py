@@ -3,7 +3,9 @@
 Exit codes: 0 success, 2 workload failure, 3 capability or input failure
 (a bad flag, a missing or malformed config, trace, sidecar or report file,
 or a layout too large to allocate). Only `main` turns an exception into an
-`error: ...` line and a code.
+`error: ...` line and a code. No command writes a host setting: `thp` and
+`doctor` only read them, and `run` chooses huge pages per command through
+its launch plan.
 
 Each process runs one command, so the module loads only what the parser
 and the replay commands need: `blockmesh`, `tlbsim` and `hugepagectl`.
@@ -110,11 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "report's own first region)")
     ren.add_argument("--out", default=None)
 
-    thp = sub.add_parser("thp", help="show or set the THP mode")
-    thp.add_argument("--set", dest="set_mode", default=None,
-                     choices=[m.value for m in hugepagectl.ThpMode])
-    thp.add_argument("--allow-system-writes", action="store_true",
-                     help="required opt-in for sysfs writes")
+    sub.add_parser("thp", help="show the host's THP mode (read-only)")
     return p
 
 
@@ -242,11 +240,8 @@ def _cmd_render(args) -> int:
     return EXIT_OK
 
 
-def _cmd_thp(args) -> int:
+def _cmd_thp(_args) -> int:
     fs = hugepagectl.RealFs()
-    if args.set_mode:
-        hugepagectl.write_thp(fs, hugepagectl.ThpMode(args.set_mode),
-                              allow_system_writes=args.allow_system_writes)
     print(hugepagectl.parse_thp(fs.read_text(hugepagectl.THP_ENABLED_PATH)).value)
     return EXIT_OK
 
@@ -264,8 +259,7 @@ def main(argv: list[str] | None = None) -> int:
             "render": _cmd_render,
             "thp": _cmd_thp,
         }[args.cmd](args)
-    except (blockmesh.AllocationFailure, hugepagectl.SystemWriteNotAllowed,
-            OSError, ValueError) as exc:
+    except (blockmesh.AllocationFailure, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPABILITY
     except RuntimeError as exc:

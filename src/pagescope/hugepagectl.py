@@ -2,11 +2,13 @@
 
 Everything here works off two files, /proc/meminfo and
 /sys/kernel/mm/transparent_hugepage/enabled, read through a small
-filesystem abstraction so the whole module is testable from canned
-fixtures without root or even Linux. Launch plans render the three
-enablement mechanisms (hugectl wrapper, libhugetlbfs preload, the Fujitsu
-runtime env var) as exact env/argv fragments; usage verification compares
-meminfo snapshots taken before and during a run.
+read-only filesystem abstraction so the whole module is testable from
+canned fixtures without root or even Linux. Nothing here writes a host
+setting: huge pages are chosen per command by its launch plan. Launch
+plans render the three enablement mechanisms (hugectl wrapper,
+libhugetlbfs preload, the Fujitsu runtime env var) as exact env/argv
+fragments; usage verification compares meminfo snapshots taken before and
+during a run.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ PERF_PARANOID_PATH = "/proc/sys/kernel/perf_event_paranoid"
 BOOT_PARAM_CHECKLIST = (
     "kernel boot parameters: hugepagesz=2M hugepagesz=512M default_hugepagesz=2M",
     "sysctl: kernel.perf_event_paranoid=1",
+    "THP mode, as root: echo madvise > /sys/kernel/mm/transparent_hugepage/enabled",
     "package libhugetlbfs-utils installed (provides hugeadm)",
 )
 
@@ -42,11 +45,6 @@ class MalformedThpState(ValueError):
     pass
 
 
-class SystemWriteNotAllowed(RuntimeError):
-    """Sysfs writes are privileged node changes; they need the explicit
-    --allow-system-writes opt-in."""
-
-
 # ---------------------------------------------------------------------------
 # Filesystem abstraction
 # ---------------------------------------------------------------------------
@@ -55,10 +53,6 @@ class RealFs:
     def read_text(self, path: str) -> str:
         with open(path, "r") as f:
             return f.read()
-
-    def write_text(self, path: str, text: str) -> None:
-        with open(path, "w") as f:
-            f.write(text)
 
 
 class FixtureFs:
@@ -72,7 +66,6 @@ class FixtureFs:
     def __init__(self, files: dict[str, str | list[str]]):
         self._files = dict(files)
         self._cursor: dict[str, int] = {}
-        self.written: list[tuple[str, str]] = []
 
     def read_text(self, path: str) -> str:
         if path not in self._files:
@@ -83,9 +76,6 @@ class FixtureFs:
         i = self._cursor.get(path, 0)
         self._cursor[path] = i + 1
         return doc[min(i, len(doc) - 1)]
-
-    def write_text(self, path: str, text: str) -> None:
-        self.written.append((path, text))
 
 
 # ---------------------------------------------------------------------------
@@ -193,22 +183,14 @@ def parse_thp(text: str) -> ThpMode:
 
 
 def render_thp(mode: ThpMode) -> str:
-    """The token written to the sysfs file to select a mode."""
+    """The token that selects a mode when written, by hand, to the sysfs
+    file (the provisioning checklist shows how)."""
     return mode.value
 
 
 def thp_state_text(mode: ThpMode) -> str:
     """The sysfs file content showing a mode as selected."""
     return " ".join(f"[{m.value}]" if m is mode else m.value for m in ThpMode)
-
-
-def write_thp(fs, mode: ThpMode, allow_system_writes: bool = False) -> None:
-    """Write the THP mode. Node-level privileged change; refused without the
-    explicit opt-in flag."""
-    if not allow_system_writes:
-        raise SystemWriteNotAllowed(
-            "writing THP state requires --allow-system-writes")
-    fs.write_text(THP_ENABLED_PATH, render_thp(mode))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ the canonical config, so simulated runs reproduce byte for byte.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import json
 import os
@@ -196,6 +195,8 @@ class ExperimentConfig:
         if EventId.CpuCycles not in self.events:
             raise ValueError(f"events lack {EventId.CpuCycles.value}, "
                              f"which every measure is derived from")
+        _reject_unknown_keys(self.simulated_increments, ("baseline", "treatment"),
+                             "simulated_increments")
         if (self.simulated_increments
                 and not {"baseline", "treatment"} <= set(self.simulated_increments)):
             raise ValueError("simulated_increments must cover both the "
@@ -238,10 +239,8 @@ class ExperimentConfig:
             _reject_unknown_keys(d.get("cpu", {}), ["freq_hz", "line_bytes"], "cpu")
             names = _string_list(d.get("events", []), "events")
             events = parse_event_names(",".join(names)) if names else ALL_EVENTS
-            sim = d.get("simulated_increments", {})
-            _reject_unknown_keys(sim, ["baseline", "treatment"], "simulated_increments")
             incs = {role: {EventId(name): v for name, v in table.items()}
-                    for role, table in sim.items()}
+                    for role, table in d.get("simulated_increments", {}).items()}
             return cls(
                 workload=WorkloadSpec.from_dict(d["workload"]),
                 baseline=HugePageMode(d.get("baseline", "off")),
@@ -353,6 +352,9 @@ def _run_rep(workload, mode, session: CounterSession, now_s, sample, cadence_s):
     the reads, `sample()` takes each meminfo sample on this thread: once a
     built-in kernel's array is fully written (run_kernel's `touched`), or
     every `cadence_s` while a command runs and once when it has exited.
+    A command's exit wakes the wait on its pidfd at once, so its elapsed
+    time carries no polling delay. Its standard output is discarded, so
+    it does not mix with the table; its standard error reaches ours.
 
     In-process kernels ignore the launch plan's env/wrapper: the plan
     applies to spawned commands, while this process's mapping policy is
@@ -360,8 +362,9 @@ def _run_rep(workload, mode, session: CounterSession, now_s, sample, cadence_s):
     """
     returncode, checksum = 0, None
     if workload.kind == EXTERNAL:
-        # Only a spawned command needs it. Imported before t0, so the
+        # Only a spawned command needs them. Imported before t0, so the
         # first import's milliseconds land in no role's timed region.
+        import select
         import subprocess
     t0 = now_s()
     begin = session.read()
@@ -370,18 +373,20 @@ def _run_rep(workload, mode, session: CounterSession, now_s, sample, cadence_s):
         try:
             proc = subprocess.Popen(
                 plan.command(list(workload.argv)),
-                env=plan.environ(dict(os.environ)),
-                stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+                env=plan.environ(dict(os.environ)), stdout=subprocess.DEVNULL)
         except FileNotFoundError as exc:
             # Shell convention for command-not-found; usually the mode's
             # wrapper tool is missing, which doctor() flags in advance.
             raise WorkloadFailed(mode, 127) from exc
         with proc:
             try:
-                while (returncode := proc.poll()) is None:
-                    with contextlib.suppress(subprocess.TimeoutExpired):
-                        proc.wait(timeout=cadence_s)  # returns at exit
-                    sample()
+                pidfd = os.pidfd_open(proc.pid)
+                try:
+                    while (returncode := proc.poll()) is None:
+                        select.select([pidfd], [], [], cadence_s)  # readable at exit
+                        sample()
+                finally:
+                    os.close(pidfd)
             finally:
                 proc.kill()  # a no-op once reaped; ends an interrupted wait's child
     else:

@@ -272,7 +272,8 @@ def test_criterion_10_real_memory_smoke():
     if thp is ThpMode.Never:
         pytest.skip("transparent huge pages disabled on this host")
     if thp is ThpMode.Madvise:
-        pytest.skip("THP in madvise mode: plain allocations stay on 4 KiB pages")
+        pytest.skip("THP in madvise mode: numpy, not the run, chooses the array's "
+                    "page policy until run_kernel sets it (ROADMAP item 1)")
     try:
         monitor = MeminfoMonitor(fs)
         before = monitor.poll_once()

@@ -86,6 +86,17 @@ def test_run_external_failure_exits_2(tmp_path, capsys):
     assert "status 9" in capsys.readouterr().err
 
 
+def test_run_external_failure_shows_the_commands_stderr(capfd):
+    # The child's standard error reaches the terminal, so the one error
+    # line is not all that explains the failure.
+    rc = main(["run", "--simulate-counters", "--",
+               "sh", "-c", "echo why it failed >&2; exit 4"])
+    assert rc == 2
+    err = capfd.readouterr().err
+    assert "why it failed\n" in err
+    assert "error: workload under mode 'off' exited with status 4\n" in err
+
+
 def test_run_external_success_uses_main_region(tmp_path, capsys):
     rc = main(["run", "--simulate-counters", "--mode-a", "off",
                "--mode-b", "preload", "--out", str(tmp_path), "--",
@@ -187,8 +198,6 @@ def test_thp_without_sysfs_is_capability_failure(monkeypatch, capsys):
     fs = hugepagectl.FixtureFs({})  # a host without the THP file
     monkeypatch.setattr(hugepagectl, "RealFs", lambda: fs)
     assert main(["thp"]) == 3
-    assert main(["thp", "--set", "always"]) == 3  # refused: no opt-in flag
-    assert fs.written == []
 
 
 def test_events_flag_limits_event_set(tmp_path, capsys):
@@ -441,8 +450,12 @@ def test_bad_trace_input_is_one_line_error(tmp_path, capsys, make_argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("argv", [["run", "--repetitions", "x"], []],
-                         ids=["repetitions-not-an-int", "no-command"])
+@pytest.mark.parametrize("argv", [
+    ["run", "--repetitions", "x"],
+    [],
+    ["thp", "--set", "always"],
+    ["thp", "--allow-system-writes"],
+], ids=["repetitions-not-an-int", "no-command", "thp-set", "thp-allow-writes"])
 def test_bad_command_line_is_one_line_error(capsys, argv):
     assert main(argv) == 3
     out, err = capsys.readouterr()

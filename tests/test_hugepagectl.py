@@ -3,14 +3,12 @@ from hypothesis import given, strategies as st
 
 from pagescope.hugepagectl import (
     MEMINFO_PATH,
-    THP_ENABLED_PATH,
     FixtureFs,
     HugePageMode,
     MalformedLine,
     MalformedThpState,
     MeminfoMonitor,
     MissingField,
-    SystemWriteNotAllowed,
     ThpMode,
     UsageVerdict,
     detect_usage,
@@ -19,7 +17,6 @@ from pagescope.hugepagectl import (
     plan_launch,
     render_thp,
     thp_state_text,
-    write_thp,
 )
 
 from conftest import meminfo_text
@@ -225,15 +222,6 @@ def test_fixture_fs_replays_sequences():
     assert second.hp_total == 6 == third.hp_total
     with pytest.raises(FileNotFoundError):
         fs.read_text("/nonexistent")
-
-
-def test_write_thp_needs_explicit_opt_in():
-    fs = FixtureFs({})
-    with pytest.raises(SystemWriteNotAllowed):
-        write_thp(fs, ThpMode.Always)
-    assert fs.written == []
-    write_thp(fs, ThpMode.Always, allow_system_writes=True)
-    assert fs.written == [(THP_ENABLED_PATH, "always")]
 
 
 def test_monitor_samples_in_the_order_they_are_taken():

@@ -186,6 +186,18 @@ def test_interrupted_wait_kills_the_command():
     assert time.monotonic() - start < 10
 
 
+def test_command_exit_ends_the_wait_at_once():
+    # The wait on the child's pidfd returns when it exits, not at the next
+    # poll of a sleep loop, so a 0.3 s command times close to 0.3 s even
+    # at a 1 s cadence.
+    workload = WorkloadSpec(kind="external", argv=("sleep", "0.3"))
+    session = open_session(SimulatedBackend(BASE_INC), ALL_EVENTS)
+    elapsed = sorted(_run_rep(workload, HugePageMode.Off, session,
+                              time.perf_counter, lambda: None, 1.0)[1]
+                     for _ in range(3))
+    assert elapsed[1] < 0.3 + 0.008, elapsed
+
+
 def test_missing_wrapper_tool_maps_to_workload_failure():
     config = ExperimentConfig(
         workload=WorkloadSpec(kind="external", argv=("true",)),
@@ -290,6 +302,16 @@ def test_config_rejects_equal_modes():
     with pytest.raises(ValueError):
         ExperimentConfig(workload=WorkloadSpec(kind="zone-sweep", layout=TINY),
                          baseline=HugePageMode.Off, treatment=HugePageMode.Off)
+
+
+def test_config_rejects_an_unknown_increment_role():
+    # Refused wherever a config is built, not only by from_dict: the
+    # misspelled role would otherwise be hashed into the report's name.
+    with pytest.raises(ValueError, match="unknown simulated_increments keys: treatmnet"):
+        ExperimentConfig(
+            workload=WorkloadSpec(kind="zone-sweep", layout=TINY),
+            simulated_increments={"baseline": BASE_INC, "treatment": BASE_INC,
+                                  "treatmnet": BASE_INC})
 
 
 def test_real_backend_unavailable_raises(monkeypatch):
@@ -475,11 +497,10 @@ def test_doctor_reports_a_failed_probe_apart_from_the_events():
 
 
 def test_doctor_flags_missing_tools_and_never_writes():
-    fs = _good_fs()
-    cap = doctor(fs=fs, which=lambda tool: None, probe=_probe_ok)
+    # FixtureFs has no write method: a write doctor attempted would raise.
+    cap = doctor(fs=_good_fs(), which=lambda tool: None, probe=_probe_ok)
     assert any("hugectl" in a for a in cap.advisories)
     assert any("hugeadm" in a for a in cap.advisories)
-    assert fs.written == []
 
 
 def test_doctor_render_includes_checklist():
@@ -487,3 +508,5 @@ def test_doctor_render_includes_checklist():
     text = cap.render()
     assert "hugepagesz=2M hugepagesz=512M default_hugepagesz=2M" in text
     assert "kernel.perf_event_paranoid=1" in text
+    # Selecting the THP mode is a step for an administrator, never a command.
+    assert "echo madvise > /sys/kernel/mm/transparent_hugepage/enabled" in text
