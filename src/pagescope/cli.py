@@ -107,9 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="report JSON (repeat for multi-case charts)")
     ren.add_argument("--format", default="table",
                      choices=["table", "csv", "svg"])
-    ren.add_argument("--region", default=None,
-                     help="region to chart (svg only; default each "
-                          "report's own first region)")
     ren.add_argument("--out", default=None)
 
     sub.add_parser("thp", help="show the host's THP mode (read-only)")
@@ -217,16 +214,12 @@ def _cmd_render(args) -> int:
     from . import report
 
     reports = [report.load_report(p) for p in args.report]
-    if args.region is not None and args.format != "svg":
-        present = sorted({name for r in reports for name in report.report_regions(r)})
-        raise ValueError(f"--region applies to --format svg only; regions "
-                         f"present: {', '.join(present) or 'none'}")
     if args.format == "table":
         text = "\n".join(report.render_table(r) for r in reports)
     elif args.format == "csv":
         text = "".join(report.render_csv(r) for r in reports)
     else:
-        svg, csv = report.render_ratio_chart(reports, region=args.region)
+        svg, csv = report.render_ratio_chart(reports)
         if args.out:
             Path(args.out).write_text(svg)
             Path(str(args.out) + ".csv").write_text(csv)

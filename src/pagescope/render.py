@@ -66,7 +66,7 @@ def ratio_rows_csv(rows_by_region: dict[str, list[m.RatioRow]]) -> str:
     for region, rows in rows_by_region.items():
         for row in rows:
             lines.append(",".join([
-                region,
+                _csv_field(region),
                 f"\"{row.measure}\"",
                 _fmt_full(row.without_hp),
                 _fmt_full(row.with_hp),

@@ -518,8 +518,10 @@ def _need(ok: bool, what: str) -> None:
 
 
 def _need_numbers(values) -> None:
-    _need(all(v is None or type(v) in (int, float) for v in values),
-          "a metric or ratio is not a number")
+    # json reads NaN and ±Infinity; the bound is false for all three.
+    _need(all(v is None or (type(v) in (int, float) and abs(v) <= sys.float_info.max)
+              for v in values),
+          "a metric or ratio is not a finite number")
 
 
 # ---------------------------------------------------------------------------
@@ -560,23 +562,18 @@ def render_csv(report: dict) -> str:
         for region, rows in report.get("ratios", {}).items()})
 
 
-def render_ratio_chart(reports: list[dict],
-                       region: str | None = None) -> tuple[str, str]:
-    """SVG chart plus companion CSV for one region across several reports.
+def render_ratio_chart(reports: list[dict]) -> tuple[str, str]:
+    """SVG chart plus companion CSV of several reports' ratios.
 
     Returns (svg_text, csv_text); the two carry identical ratio strings.
-    Without `region`, each report charts its own first region, so reports
-    of different workloads (say "EOS" and "3-d Hydro") sit side by side.
-    A region that no report holds is a ValueError naming those it holds.
-    Bars are keyed by report label, so two reports that share a label are
-    a ValueError too.
+    Each report charts its own first region (a pagescope run records one),
+    so reports of different workloads (say "EOS" and "3-d Hydro") sit side
+    by side; a report without ratio rows is a case with no bars. Bars are
+    keyed by report label, so two reports that share a label are a
+    ValueError.
     """
     if not reports:
         raise ValueError("need at least one report")
-    present = sorted({name for rep in reports for name in rep.get("ratios", {})})
-    if region is not None and region not in present:
-        raise ValueError(f"no region {region!r} in the reports; regions "
-                         f"present: {', '.join(present) or 'none'}")
     cases = []
     ratios_map: dict[tuple[str, str], float | None] = {}
     labels_present: list[str] = []
@@ -589,8 +586,7 @@ def render_ratio_chart(reports: list[dict],
         regions = sorted(rep.get("ratios", {}))
         if not regions:
             continue
-        use = region if region is not None else regions[0]
-        for row in rep["ratios"].get(use, []):
+        for row in rep["ratios"][regions[0]]:
             if row["measure"] not in labels_present:
                 labels_present.append(row["measure"])
             ratios_map[(row["measure"], case)] = row["ratio"]

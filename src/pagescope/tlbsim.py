@@ -54,7 +54,6 @@ claimed period that fails is read a second time, as one unverified pass.
 
 from __future__ import annotations
 
-import math
 from collections import OrderedDict, defaultdict
 from dataclasses import dataclass, replace
 
@@ -302,18 +301,12 @@ def page_size_sweep(trace, config: TlbConfig,
         if size == after:
             raise ValueError(f"page size {size} is given twice")
     runs = reduce(trace, sizes[0])
-    rows = []
-    base_misses: int | None = None
-    for size in sizes:
-        stats = simulate(replace(config, page_size_bytes=size), runs)
-        if base_misses is None:
-            base_misses = stats.misses
-        if base_misses > 0:
-            ratio = stats.misses / base_misses
-        else:
-            ratio = 1.0 if stats.misses == 0 else math.inf
-        rows.append(SweepRow(size, stats, ratio))
-    return rows
+    stats = [simulate(replace(config, page_size_bytes=size), runs) for size in sizes]
+    # A trace that misses at one size misses at every size (misses >=
+    # distinct pages), so zero base misses means zero misses everywhere.
+    base = stats[0].misses
+    return [SweepRow(size, s, s.misses / base if base else 1.0)
+            for size, s in zip(sizes, stats)]
 
 
 def sweep_csv(rows: list[SweepRow]) -> str:

@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +11,7 @@ import pytest
 import pagescope
 from pagescope import blockmesh, hugepagectl, tlbsim
 from pagescope.cli import _build_run_config, build_parser, main
+from pagescope.counterhub import ALL_EVENTS, RealOsBackend
 from pagescope.hugepagectl import THP_ENABLED_PATH
 
 
@@ -146,9 +149,10 @@ def test_render_formats(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("fmt,region", [("svg", "nope"), ("csv", "zone-sweep")],
-                         ids=["svg-unknown-region", "csv-with-region"])
-def test_render_unusable_region_is_one_line_error(tmp_path, capsys, fmt, region):
-    # svg: no report holds the region; csv: the flag only applies to charts.
+                         ids=["svg", "csv"])
+def test_render_has_no_region_flag(tmp_path, capsys, fmt, region):
+    # A run records one region and a chart draws each report's own, so
+    # `--region` is an unknown flag in every format.
     main(_sim_run_args(tmp_path, label="render-me"))
     report_path = next(tmp_path.glob("report-*.json"))
     capsys.readouterr()
@@ -157,7 +161,7 @@ def test_render_unusable_region_is_one_line_error(tmp_path, capsys, fmt, region)
                  "--region", region, "--out", str(out_path)]) == 3
     out, err = capsys.readouterr()
     assert out == "" and err.count("\n") == 1
-    assert err.startswith("error: ") and "zone-sweep" in err
+    assert err.startswith("error: unrecognized arguments") and "--region" in err
     assert not list(tmp_path.glob("chart*"))
 
 
@@ -231,6 +235,12 @@ def _config_file(content):
     return make_flags
 
 
+def _truncated_config(tmp_path):
+    path = tmp_path / "exp.json"
+    path.write_text("{")
+    return ["--config", str(path)]
+
+
 @pytest.mark.parametrize("flags", [
     ["--n", "0"],
     ["--passes", "0"],
@@ -285,6 +295,7 @@ def _config_file(content):
         "baseline": {"PERF_COUNT_HW_CPU_CYCLES": 900},
         "treatment": {"PERF_COUNT_HW_CPU_CYCLES": 900},
         "treatmnet": {"PERF_COUNT_HW_CPU_CYCLES": 900}}}),
+    _truncated_config,
 ], ids=["n-0", "passes-0", "repetitions-0", "short-layout", "missing-config",
         "config-not-object", "config-workload-not-object",
         "config-layout-incomplete", "config-increments-not-object",
@@ -302,7 +313,8 @@ def _config_file(content):
         "config-cycles-increment-missing", "config-line-bytes-float",
         "config-line-bytes-bool", "config-line-bytes-string", "config-freq-bool",
         "config-freq-string", "config-freq-huge-int", "config-strict-string",
-        "config-cadence-bool", "config-increments-unknown-role"])
+        "config-cadence-bool", "config-increments-unknown-role",
+        "config-truncated-json"])
 def test_bad_run_flags_are_bad_configuration(tmp_path, capsys, monkeypatch, flags):
     if callable(flags):
         flags = flags(tmp_path)
@@ -332,10 +344,22 @@ def test_config_file_events_string_is_named_not_split(tmp_path):
         _build_run_config(build_parser().parse_args(["run", *flags]))
 
 
-def test_run_backend_is_real_unless_simulate_counters():
+def test_run_backend_is_real_unless_simulate_counters(tmp_path, capsys, monkeypatch):
     parse = build_parser().parse_args
     assert _build_run_config(parse(["run"])).backend == "real"
     assert _build_run_config(parse(["run", "--simulate-counters"])).backend == "simulated"
+    # A host whose counters cannot be programmed: one error, then the hint.
+    monkeypatch.setattr(RealOsBackend, "probe",
+                        classmethod(lambda cls, events=ALL_EVENTS:
+                                    {ev: "denied" for ev in events}))
+    assert main(["run", "--workload", "zone-sweep", "--layout", "2,4,4,2,2",
+                 "--out", str(tmp_path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    error, hint = err.splitlines()
+    assert error.startswith("error: ")
+    assert hint.startswith("hint: pass --simulate-counters")
+    assert not list(tmp_path.glob("report-*.json"))
 
 
 def test_run_flags_override_config_file_fields(tmp_path):
@@ -550,6 +574,17 @@ def test_repeated_main_calls_match_fresh_runs(tmp_path, capsys):
     assert build_parser() is build_parser()
 
 
+def test_readme_names_every_long_option():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    commands = next(action.choices for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    missing = [f"{name} {option}" for name, command in commands.items()
+               for action in command._actions for option in action.option_strings
+               if option.startswith("--") and option != "--help"
+               and not re.search(re.escape(option) + r"(?![\w-])", readme)]
+    assert missing == []
+
+
 def test_help_still_exits_zero():
     code, out, err = _fresh_main(["trace", "--help"])
     assert (code, err) == (0, "")
@@ -577,12 +612,49 @@ def _report_not_object(tmp_path):
     return path
 
 
-def _report_metrics_unknown_key(tmp_path):
+def _edited_report(tmp_path, edit) -> Path:
     path = _saved_report(tmp_path)
     data = json.loads(path.read_text())
-    data["runs"]["baseline"]["regions"]["zone-sweep"]["metrics"]["bogus"] = 1.0
+    edit(data)
     path.write_text(json.dumps(data))
     return path
+
+
+def _set_metric(key, value):
+    def edit(data):
+        data["runs"]["baseline"]["regions"]["zone-sweep"]["metrics"][key] = value
+    return edit
+
+
+def _report_metrics_unknown_key(tmp_path):
+    return _edited_report(tmp_path, _set_metric("bogus", 1.0))
+
+
+def _set_first_ratio(value):
+    def edit(data):
+        data["ratios"]["zone-sweep"][0]["ratio"] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    _set_metric("seconds", float("inf")),
+    _set_metric("seconds", float("nan")),
+    _set_first_ratio(float("inf")),
+    lambda data: data.update(label=7),
+], ids=["seconds-inf", "seconds-nan", "ratio-inf", "label-not-string"])
+def test_report_with_bad_value_is_refused_in_every_format(tmp_path, capsys, edit):
+    # json writes and reads NaN and Infinity, so a hand-edited report can
+    # hold them; every format refuses it before rendering anything.
+    path = _edited_report(tmp_path, edit)
+    capsys.readouterr()
+    for fmt in ("table", "csv", "svg"):
+        out_path = tmp_path / f"out-{fmt}"
+        assert main(["render", "--report", str(path), "--format", fmt,
+                     "--out", str(out_path)]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(f"error: {path}: not a pagescope report: ")
+        assert not list(tmp_path.glob("out-*"))
 
 
 @pytest.mark.parametrize("make_report", [_missing_report, _truncated_report,

@@ -214,7 +214,7 @@ def test_missing_wrapper_tool_maps_to_workload_failure():
     assert "baseline" in err.value.partial["runs"]
 
 
-def test_treatment_failure_preserves_baseline():
+def test_treatment_failure_preserves_baseline(tmp_path):
     # Exits 1 only when the treatment env var is present.
     config = ExperimentConfig(
         workload=WorkloadSpec(
@@ -225,12 +225,13 @@ def test_treatment_failure_preserves_baseline():
         simulated_increments={"baseline": BASE_INC, "treatment": BASE_INC},
         label="failing")
     with pytest.raises(WorkloadFailed) as err:
-        run_experiment(config, fs=zero_fs())
+        run_experiment(config, fs=zero_fs(), out_dir=tmp_path)
     partial = err.value.partial
     assert err.value.mode == HugePageMode.FujitsuHugetlbfs
     assert "baseline" in partial["runs"] and "treatment" not in partial["runs"]
     assert partial["ratios"] == {}
     assert any("partial" in w for w in partial["warnings"])
+    assert load_report(tmp_path / f"report-{config.config_hash()}.json") == partial
 
 
 def test_simulated_reports_byte_identical(tmp_path):
@@ -368,6 +369,15 @@ def test_render_csv_full_precision():
     dtlb_line = [l for l in csv.splitlines() if LABEL_DTLB in l][0]
     ratio = float(dtlb_line.rsplit(",", 1)[1])
     assert ratio == pytest.approx(0.047, abs=0.001)
+
+
+def test_render_csv_quotes_the_region():
+    # A loaded report's region key is input; a comma must not add a field.
+    report = reference_report("EOS")
+    report["ratios"] = {"a,b": report["ratios"]["EOS"]}
+    rows = list(csv.reader(io.StringIO(render_csv(report))))
+    assert len(rows) > 1 and all(len(row) == 5 for row in rows)
+    assert {row[0] for row in rows[1:]} == {"a,b"}
 
 
 def _svg_ratios(svg):

@@ -82,6 +82,8 @@ def test_empty_trace():
     empty = np.array([], dtype=np.uint64)
     assert simulate(TlbConfig(), empty) == TlbStats(0, 0, 0)
     assert stack_distance_oracle(8, empty, PAGE_4K) == TlbStats(0, 0, 0)
+    rows = page_size_sweep(empty, TlbConfig(), [PAGE_4K, PAGE_2M])
+    assert [row.ratio for row in rows] == [1.0, 1.0]
 
 
 def test_cyclic_working_set_one_larger_than_capacity_always_misses():
