@@ -18,12 +18,6 @@ from dataclasses import dataclass
 
 from .counterhub import EventId, RegionRecord
 
-DEFAULT_FREQ_HZ = 1.8e9
-# Bytes transferred per counted line fill: one cache line on A64FX-class
-# cores. Not verifiable from counters alone, so strict configs must state
-# it explicitly.
-DEFAULT_CACHE_LINE_BYTES = 256
-
 
 class ZeroCycles(ValueError):
     """Cycle count of zero: no rates can be derived."""
@@ -35,27 +29,18 @@ class NegativeInterval(ValueError):
 
 @dataclass(frozen=True)
 class CpuSpec:
-    freq_hz: float = DEFAULT_FREQ_HZ
-    cache_line_bytes: int = DEFAULT_CACHE_LINE_BYTES
+    freq_hz: float = 1.8e9
+    # Bytes transferred per counted line fill: one cache line on A64FX-class
+    # cores. No counter reports it, so every report records the value used.
+    line_bytes: int = 256
 
     def __post_init__(self):
-        freq, line = self.freq_hz, self.cache_line_bytes
+        freq, line = self.freq_hz, self.line_bytes
         if type(freq) not in (int, float) or not 0 < freq <= sys.float_info.max:
             raise ValueError(f"freq_hz {freq!r} must be a finite number > 0")
         if type(line) is not int or line <= 0 or line & (line - 1):
-            raise ValueError(f"cache_line_bytes {line!r} is not a power of two")
+            raise ValueError(f"line_bytes {line!r} is not a power of two")
         object.__setattr__(self, "freq_hz", float(freq))
-
-    @classmethod
-    def from_mapping(cls, mapping: dict, strict: bool = False) -> "CpuSpec":
-        """Build from a config mapping; strict mode refuses to default the
-        line size since it is the one constant reports cannot verify."""
-        if type(strict) is not bool:
-            raise ValueError(f"strict {strict!r} is not true or false")
-        if strict and "line_bytes" not in mapping:
-            raise ValueError("strict config requires an explicit line_bytes")
-        return cls(freq_hz=mapping.get("freq_hz", DEFAULT_FREQ_HZ),
-                   cache_line_bytes=mapping.get("line_bytes", DEFAULT_CACHE_LINE_BYTES))
 
 
 @dataclass(frozen=True)
@@ -88,7 +73,7 @@ def derive(record: RegionRecord, cpu: CpuSpec) -> DerivedMetrics:
         seconds=seconds,
         sve_per_cycle=None if sve is None else sve / cycles,
         bandwidth_bytes_per_s=(None if misses is None
-                               else misses * cpu.cache_line_bytes / seconds),
+                               else misses * cpu.line_bytes / seconds),
         dtlb_misses_per_s=None if dtlb is None else dtlb / seconds,
     )
 
@@ -168,10 +153,11 @@ def sig3(x: float) -> str:
 
 
 def format_cell(label: str, value: float | None) -> str:
-    """Render one table cell: n/a marker, timer at ms precision, else
-    three significant figures."""
+    """Render one table cell: n/a marker, timer at ms precision while it
+    fits its 14-character column with a space to spare, else three
+    significant figures."""
     if value is None:
         return "n/a"
-    if label == LABEL_TIMER:
-        return f"{value:.3f}"
+    if label == LABEL_TIMER and len(text := f"{value:.3f}") <= 13:
+        return text
     return sig3(value)

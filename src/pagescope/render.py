@@ -1,12 +1,14 @@
 """Text tables, CSV, and SVG bar charts for comparison reports.
 
 Tables show three significant figures (timer rows at millisecond
-precision); CSV carries full-precision values. The chart and its companion
-CSV print each ratio through the same formatter, so bar data and CSV agree
-byte for byte.
+precision while they fit the column); CSV carries full-precision values.
+The chart and its companion CSV print each ratio through the same
+formatter, so bar data and CSV agree byte for byte.
 """
 
 from __future__ import annotations
+
+import sys
 
 from . import metrics as m
 
@@ -99,7 +101,8 @@ def ratio_chart_svg(measure_labels: list[str], cases: list[str],
     height = margin_top + chart_h + margin_bottom
 
     values = [float(_fmt_ratio(v)) for v in ratios.values() if v is not None]
-    top = max(values + [1.0]) * 1.15
+    # Headroom above the tallest bar, capped where it would overflow.
+    top = min(max(values + [1.0]) * 1.15, sys.float_info.max)
 
     def y_of(v: float) -> float:
         return margin_top + chart_h - (v / top) * chart_h
@@ -111,7 +114,7 @@ def ratio_chart_svg(measure_labels: list[str], cases: list[str],
            f'font-size="15" fill="#333">{CHART_TITLE}</text>']
 
     for tick in range(5):
-        v = top * tick / 4
+        v = top / 4 * tick  # top * tick could overflow
         y = y_of(v)
         svg.append(f'  <line x1="{margin_left}" y1="{y:.2f}" '
                    f'x2="{margin_left + chart_w}" y2="{y:.2f}" '

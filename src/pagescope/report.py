@@ -143,26 +143,18 @@ class WorkloadSpec:
         return "main" if self.kind == EXTERNAL else self.kind
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "layout": self.layout.to_dict() if self.layout else None,
-            "passes": self.passes,
-            "alloc": self.alloc,
-            "fill": self.fill,
-            "argv": list(self.argv),
-        }
+        return {**asdict(self), "argv": list(self.argv)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "WorkloadSpec":
         _reject_unknown_keys(d, [f.name for f in fields(cls)], "workload")
-        layout = d.get("layout")
-        argv = _string_list(d.get("argv", []), "argv")
-        return cls(kind=d["kind"],
-                   layout=blockmesh.UnkLayout.from_dict(layout) if layout else None,
-                   passes=d.get("passes", 1),
-                   alloc=d.get("alloc", "eager"),
-                   fill=d.get("fill", 1.0),
-                   argv=tuple(argv))
+        given = {**d, "kind": d["kind"]}  # a KeyError names the missing kind
+        if "layout" in d:
+            layout = d["layout"]
+            given["layout"] = blockmesh.UnkLayout.from_dict(layout) if layout else None
+        if "argv" in d:
+            given["argv"] = tuple(_string_list(d["argv"], "argv"))
+        return cls(**given)
 
 
 @dataclass(frozen=True)
@@ -215,45 +207,38 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         return {
+            **asdict(self),
             "workload": self.workload.to_dict(),
             "baseline": self.baseline.value,
             "treatment": self.treatment.value,
             "events": sorted(ev.value for ev in self.events),
-            "cpu": {"freq_hz": self.cpu.freq_hz,
-                    "line_bytes": self.cpu.cache_line_bytes},
-            "repetitions": self.repetitions,
-            "monitor_cadence_s": self.monitor_cadence_s,
-            "backend": self.backend,
             "simulated_increments": {
                 role: {ev.value: inc for ev, inc in incs.items()}
                 for role, incs in self.simulated_increments.items()},
-            "label": self.label,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        """Inverse of to_dict; ValueError when d does not have its shape."""
+        """Inverse of to_dict; ValueError when d does not have its shape.
+        A key the mapping leaves out keeps its field's default."""
         try:
-            _reject_unknown_keys(d, [f.name for f in fields(cls)] + ["strict"],
-                                 "top-level")
-            _reject_unknown_keys(d.get("cpu", {}), ["freq_hz", "line_bytes"], "cpu")
-            names = _string_list(d.get("events", []), "events")
-            events = parse_event_names(",".join(names)) if names else ALL_EVENTS
-            incs = {role: {EventId(name): v for name, v in table.items()}
-                    for role, table in d.get("simulated_increments", {}).items()}
-            return cls(
-                workload=WorkloadSpec.from_dict(d["workload"]),
-                baseline=HugePageMode(d.get("baseline", "off")),
-                treatment=HugePageMode(d.get("treatment", "thp")),
-                events=events,
-                cpu=CpuSpec.from_mapping(d.get("cpu", {}),
-                                         strict=d.get("strict", False)),
-                repetitions=d.get("repetitions", 1),
-                monitor_cadence_s=d.get("monitor_cadence_s", 1.0),
-                backend=d.get("backend", "simulated"),
-                simulated_increments=incs,
-                label=d.get("label", "experiment"),
-            )
+            _reject_unknown_keys(d, [f.name for f in fields(cls)], "top-level")
+            given = {**d, "workload": WorkloadSpec.from_dict(d["workload"])}
+            if "events" in d:  # an empty list means every event
+                names = _string_list(d["events"], "events")
+                given["events"] = (parse_event_names(",".join(names)) if names
+                                   else ALL_EVENTS)
+            if "simulated_increments" in d:
+                given["simulated_increments"] = {
+                    role: {EventId(name): v for name, v in table.items()}
+                    for role, table in d["simulated_increments"].items()}
+            for role in ("baseline", "treatment"):
+                if role in d:
+                    given[role] = HugePageMode(d[role])
+            if "cpu" in d:
+                _reject_unknown_keys(d["cpu"], [f.name for f in fields(CpuSpec)], "cpu")
+                given["cpu"] = CpuSpec(**d["cpu"])
+            return cls(**given)
         except KeyError as exc:
             raise ValueError(f"missing or unknown key {exc}") from None
         except (AttributeError, TypeError) as exc:

@@ -136,7 +136,14 @@ def test_render_formats(tmp_path, capsys):
 
     assert main(["render", "--report", str(report_path),
                  "--format", "table"]) == 0
-    assert "Elapsed Timer (s)" in capsys.readouterr().out
+    table = capsys.readouterr().out
+    assert "Elapsed Timer (s)" in table
+
+    table_path = tmp_path / "table.txt"
+    assert main(["render", "--report", str(report_path), "--format", "table",
+                 "--out", str(table_path)]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert table_path.read_text() == table
 
     assert main(["render", "--report", str(report_path), "--format", "csv"]) == 0
     assert capsys.readouterr().out.startswith("region,measure,")
@@ -146,6 +153,10 @@ def test_render_formats(tmp_path, capsys):
                  "--out", str(svg_path)]) == 0
     assert svg_path.read_text().startswith("<svg")
     assert (tmp_path / "chart.svg.csv").read_text().startswith("measure,case,")
+    assert capsys.readouterr().out == f"chart -> {svg_path}, data -> {svg_path}.csv\n"
+
+    assert main(["render", "--report", str(report_path), "--format", "svg"]) == 0
+    assert capsys.readouterr().out == svg_path.read_text()
 
 
 @pytest.mark.parametrize("fmt,region", [("svg", "nope"), ("csv", "zone-sweep")],
@@ -312,7 +323,7 @@ def _truncated_config(tmp_path):
         "config-increment-bool", "config-cycles-increment-zero",
         "config-cycles-increment-missing", "config-line-bytes-float",
         "config-line-bytes-bool", "config-line-bytes-string", "config-freq-bool",
-        "config-freq-string", "config-freq-huge-int", "config-strict-string",
+        "config-freq-string", "config-freq-huge-int", "config-strict-unknown-key",
         "config-cadence-bool", "config-increments-unknown-role",
         "config-truncated-json"])
 def test_bad_run_flags_are_bad_configuration(tmp_path, capsys, monkeypatch, flags):
@@ -423,6 +434,15 @@ def _sidecar_zero_elem_bytes(tmp_path):
     return _trace_with_sidecar(tmp_path, lambda meta: {**meta, "elem_bytes": 0})
 
 
+def _sidecar_without_passes(tmp_path):
+    return _trace_with_sidecar(
+        tmp_path, lambda meta: {k: v for k, v in meta.items() if k != "passes"})
+
+
+def _sidecar_elem_bytes_4(tmp_path):
+    return _trace_with_sidecar(tmp_path, lambda meta: {**meta, "elem_bytes": 4})
+
+
 def _sidecar_float_layout(tmp_path):
     return _trace_with_sidecar(tmp_path, lambda meta: {
         **meta, "layout": {**meta["layout"], "nvar": float(meta["layout"]["nvar"])}})
@@ -456,11 +476,18 @@ def _tlbsim_without_trace(tmp_path):
     return ["tlbsim"]
 
 
+# What the error line of some inputs below must name.
+_TRACE_ERRORS = {_sidecar_without_passes: "sidecar has no key 'passes'",
+                 _sidecar_elem_bytes_4: "elem_bytes 4 disagrees with the layout's 8"}
+
+
 @pytest.mark.parametrize("make_argv", [_missing_trace, _ragged_trace,
                                        _sidecar_disagrees, _sidecar_bool_accesses,
                                        _sidecar_float_accesses, _sidecar_not_object,
                                        _sidecar_layout_incomplete,
                                        _sidecar_zero_elem_bytes,
+                                       _sidecar_without_passes,
+                                       _sidecar_elem_bytes_4,
                                        _sidecar_float_layout, _malformed_layout,
                                        _invalid_layout, _sizes_not_a_size,
                                        _sizes_repeated, _entries_not_an_int,
@@ -472,6 +499,7 @@ def test_bad_trace_input_is_one_line_error(tmp_path, capsys, make_argv):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert _TRACE_ERRORS.get(make_argv, "") in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -655,6 +683,32 @@ def test_report_with_bad_value_is_refused_in_every_format(tmp_path, capsys, edit
         assert out == "" and err.count("\n") == 1
         assert err.startswith(f"error: {path}: not a pagescope report: ")
         assert not list(tmp_path.glob("out-*"))
+
+
+@pytest.mark.parametrize("ratio", [1e308, 1.7e308])
+def test_chart_of_a_huge_finite_ratio_stays_finite(tmp_path, capsys, ratio):
+    # The axis tops out 15 % above the tallest bar, capped where that
+    # would overflow, so no coordinate or tick label reads inf or nan.
+    path = _edited_report(tmp_path, _set_first_ratio(ratio))
+    capsys.readouterr()
+    assert main(["render", "--report", str(path), "--format", "svg"]) == 0
+    svg = capsys.readouterr().out
+    assert f'data-ratio="{ratio:.6g}"' in svg
+    assert not re.search(r"\b(inf|nan)\b", svg)
+
+
+def test_table_of_a_huge_elapsed_time_keeps_its_columns(tmp_path, capsys):
+    def edit(data):
+        for run in data["runs"].values():
+            run["elapsed_s"] = 1e308
+
+    path = _edited_report(tmp_path, edit)
+    capsys.readouterr()
+    assert main(["render", "--report", str(path), "--format", "table"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    header = next(line for line in lines if line.startswith("Measure"))
+    assert [line for line in lines if len(line) > len(header)] == []
+    assert lines[-1].split() == ["Elapsed", "Timer", "(s)", "1.00e+308", "1.00e+308"]
 
 
 @pytest.mark.parametrize("make_report", [_missing_report, _truncated_report,

@@ -48,12 +48,16 @@ def test_missing_tracked_field():
 
 
 def test_malformed_tracked_line_reports_line_number():
-    doc = "AnonHugePages:  lots kB\n" + meminfo_text(
-        order=[k for k in TRACKED_KEYS if k != "AnonHugePages"],
-        tracked_only=True)
-    with pytest.raises(MalformedLine) as err:
-        parse_meminfo(doc)
-    assert err.value.line_no == 1
+    rest = meminfo_text(order=[k for k in TRACKED_KEYS if k != "AnonHugePages"],
+                        tracked_only=True)
+    last = len(rest.splitlines()) + 1
+    # Not a number, a unit other than kB, a negative size.
+    for bad in ("AnonHugePages:  lots kB", "AnonHugePages:  2 MB",
+                "AnonHugePages:  -5 kB"):
+        for doc, line_no in ((f"{bad}\n{rest}", 1), (f"{rest}{bad}\n", last)):
+            with pytest.raises(MalformedLine) as err:
+                parse_meminfo(doc)
+            assert err.value.line_no == line_no, bad
 
 
 def test_untracked_garbage_ignored():

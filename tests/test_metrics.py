@@ -82,21 +82,14 @@ def test_cpuspec_validation():
     with pytest.raises(ValueError):
         CpuSpec(freq_hz=0)
     with pytest.raises(ValueError):
-        CpuSpec(cache_line_bytes=96)  # not a power of two
+        CpuSpec(line_bytes=96)  # not a power of two
     assert CpuSpec().freq_hz == 1.8e9
-    assert CpuSpec().cache_line_bytes == 256
-
-
-def test_cpuspec_strict_mode_requires_line_bytes():
-    with pytest.raises(ValueError):
-        CpuSpec.from_mapping({"freq_hz": 2e9}, strict=True)
-    spec = CpuSpec.from_mapping({"freq_hz": 2e9, "line_bytes": 128}, strict=True)
-    assert spec.cache_line_bytes == 128
+    assert CpuSpec().line_bytes == 256
 
 
 def test_cpuspec_integer_frequency_becomes_a_float():
     # A report writes freq_hz as given: 2000000000 would read differently.
-    spec = CpuSpec.from_mapping({"freq_hz": 2_000_000_000})
+    spec = CpuSpec(freq_hz=2_000_000_000)
     assert type(spec.freq_hz) is float and spec.freq_hz == 2e9
 
 
@@ -186,6 +179,11 @@ def test_format_cell():
     assert format_cell(LABEL_CYCLES, None) == "n/a"
     assert format_cell(LABEL_TIMER, 333.150) == "333.150"
     assert format_cell(LABEL_SECONDS, 69.7) == "69.7"
+    # The timer keeps its 14-character column: ms precision while the text
+    # fits in 13 characters, then three significant figures.
+    assert format_cell(LABEL_TIMER, 999999999.999) == "999999999.999"
+    assert format_cell(LABEL_TIMER, 1e9) == "1.00e+09"
+    assert format_cell(LABEL_TIMER, 1e308) == "1.00e+308"
 
 
 def test_metrics_cells_units():

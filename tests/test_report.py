@@ -4,6 +4,8 @@ import json
 import re
 import sys
 import time
+from dataclasses import fields
+from pathlib import Path
 from xml.etree import ElementTree
 
 import pytest
@@ -20,7 +22,7 @@ from pagescope.hugepagectl import (
     ThpMode,
     UsageVerdict,
 )
-from pagescope.metrics import (LABEL_BANDWIDTH, LABEL_DTLB, LABEL_TIMER,
+from pagescope.metrics import (LABEL_BANDWIDTH, LABEL_DTLB, LABEL_TIMER, CpuSpec,
                                DerivedMetrics, RatioRow)
 from pagescope import report as report_module
 from pagescope.report import (
@@ -271,6 +273,14 @@ def test_unreadable_meminfo_sample_is_reported():
     assert drops == ["baseline: 1 of 3 meminfo samples could not be read"]
     assert report["runs"]["baseline"]["verdict"]["state"] == "inactive"
 
+    # No meminfo at all: each role's one sample fails, and no verdict is given.
+    report = run_experiment(sim_config(BASE_INC, BASE_INC), fs=FixtureFs({}))
+    for role in ("baseline", "treatment"):
+        verdict = report["runs"][role]["verdict"]
+        assert (verdict["state"], verdict["reason"]) == ("indeterminate",
+                                                         "meminfo unavailable")
+        assert f"{role}: 1 of 1 meminfo samples could not be read" in report["warnings"]
+
 
 def test_ratio_rows_match_metrics_module():
     from pagescope.metrics import ratios
@@ -290,6 +300,41 @@ def test_config_round_trip_and_hash_stability():
     assert again.config_hash() == config.config_hash()
     other = sim_config(BASE_INC, BASE_INC, label="different")
     assert other.config_hash() != config.config_hash()
+    # Each key is a field name: one name per setting.
+    d = config.to_dict()
+    assert list(d) == [f.name for f in fields(ExperimentConfig)]
+    assert list(d["workload"]) == [f.name for f in fields(WorkloadSpec)]
+    assert list(d["cpu"]) == [f.name for f in fields(CpuSpec)]
+
+
+def test_readme_config_names_every_key_at_its_default():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = json.loads(readme.split("```json\n", 1)[1].split("```", 1)[0])
+    config = ExperimentConfig.from_dict(block)
+    assert config.to_dict() == block
+    workload = {key: block["workload"][key] for key in ("kind", "layout")}
+    assert config == ExperimentConfig.from_dict({"workload": workload})
+
+
+TINY_WORKLOAD = {"kind": "zone-sweep", "layout": TINY.to_dict()}
+CYCLES_ONLY = {"PERF_COUNT_HW_CPU_CYCLES": 900}
+
+
+@pytest.mark.parametrize("d, message", [
+    ({"workload": {}}, "missing or unknown key 'kind'"),
+    ({"workload": {"kind": "external"}}, "external workload needs an argv"),
+    ({"workload": {"kind": "sum2d"}}, "workload 'sum2d' needs a layout"),
+    ({"workload": {"kind": "bogus"}}, "unknown workload kind 'bogus'"),
+    ({"workload": TINY_WORKLOAD, "backend": "gpu"}, "unknown backend 'gpu'"),
+    ({"workload": TINY_WORKLOAD, "simulated_increments": {"baseline": CYCLES_ONLY}},
+     "must cover both the baseline and treatment roles"),
+    ({"workload": TINY_WORKLOAD, "cpu": []}, "wrong shape: .*list"),
+    ({"workload": TINY_WORKLOAD, "strict": True}, "unknown top-level keys: strict"),
+], ids=["no-kind", "external-no-argv", "builtin-no-layout", "unknown-kind",
+        "unknown-backend", "increments-one-role", "cpu-not-object", "strict"])
+def test_config_from_dict_names_the_fault(d, message):
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig.from_dict(d)
 
 
 def test_config_file_unknown_increment_event_is_named():
@@ -480,6 +525,16 @@ def test_doctor_flags_disabled_thp():
     fs._files[THP_ENABLED_PATH] = "always madvise [never]"
     cap = doctor(fs=fs, which=lambda t: "/usr/bin/x", probe=_probe_ok)
     assert any("transparent huge pages disabled" in a for a in cap.advisories)
+
+
+def test_doctor_flags_each_unreadable_file():
+    cap = doctor(fs=FixtureFs({}), which=lambda t: "/usr/bin/x", probe=_probe_ok)
+    assert (cap.thp_mode, cap.meminfo_ok, cap.paranoid) == (None, False, None)
+    assert cap.advisories == [
+        f"transparent huge page state unavailable ({THP_ENABLED_PATH})",
+        "huge-page fields missing from /proc/meminfo; "
+        "usage verification will be indeterminate",
+        "perf_event_paranoid unreadable; counter access unknown"]
 
 
 def test_doctor_flags_strict_paranoid():
