@@ -1,7 +1,7 @@
 """pagescope: huge-page experiment harness with a desk-scale DTLB model.
 
 Subpackages by job:
-  counterhub  - counter sessions and named region records
+  counterhub  - counter sessions; a region's totals are two reads' difference
   metrics     - derived performance measures and with/without ratios
   hugepagectl - meminfo/THP observation, launch plans, usage verdicts
   blockmesh   - block-mesh array geometry, traversal runs that drive both

@@ -179,10 +179,16 @@ def _cmd_run(args) -> int:
 
 def _cmd_tlbsim(args) -> int:
     trace = blockmesh.load_trace(args.trace)
-    try:
-        sizes = sorted(tlbsim.parse_size(tok) for tok in args.sizes.split(","))
+    sizes: list[int] = []
+    try:  # each error names the flag and the token at fault
+        for token in args.sizes.split(","):
+            sizes.append(tlbsim.parse_size(token))
+            tlbsim.check_page_size(sizes[-1], repr(token.strip()))
+            if sizes[-1] in sizes[:-1]:
+                raise ValueError(f"{token.strip()!r} repeats page size {sizes[-1]}")
     except ValueError as exc:
         raise ValueError(f"--sizes: {exc}") from None
+    sizes.sort()
     config = tlbsim.TlbConfig(entries=args.entries, associativity=args.assoc,
                               page_size_bytes=sizes[0])
     csv = tlbsim.sweep_csv(tlbsim.page_size_sweep(trace, config, sizes))

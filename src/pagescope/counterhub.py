@@ -1,12 +1,11 @@
-"""Hardware-counter sessions and named region records.
+"""Hardware-counter sessions.
 
 An event is one EventId member whose value is its platform name
 (`EventId("DTLB-LOAD-MISSES")` looks one up). A session reads a fixed set
 of cumulative event counters from a backend (the OS perf interface, or a
 deterministic simulated backend for desk-scale testing); a reading is a
 plain `dict[EventId, int]`. A caller brackets a region with two session
-reads and keeps their difference as a RegionRecord; records of one name
-merge into one, summing totals and region counts.
+reads and keeps each event's difference as that region's totals.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ import enum
 import os
 import platform
 import struct
-from dataclasses import dataclass
 
 
 class UnknownEventName(ValueError):
@@ -84,23 +82,6 @@ def parse_event_names(spec: str) -> frozenset[EventId]:
     if not events:
         raise UnknownEventName("empty event set")
     return frozenset(events)
-
-
-@dataclass
-class RegionRecord:
-    """Summed counter deltas attributed to one named region."""
-
-    name: str
-    region_count: int
-    totals: dict[EventId, int]
-
-    def merged_with(self, other: "RegionRecord") -> "RegionRecord":
-        if other.name != self.name:
-            raise ValueError(f"cannot merge {other.name!r} into {self.name!r}")
-        totals = dict(self.totals)
-        for ev, v in other.totals.items():
-            totals[ev] = totals.get(ev, 0) + v
-        return RegionRecord(self.name, self.region_count + other.region_count, totals)
 
 
 # ---------------------------------------------------------------------------

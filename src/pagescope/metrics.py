@@ -16,7 +16,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .counterhub import EventId, RegionRecord
+from .counterhub import EventId
 
 
 class ZeroCycles(ValueError):
@@ -52,22 +52,22 @@ class DerivedMetrics:
     dtlb_misses_per_s: float | None
 
 
-def derive(record: RegionRecord, cpu: CpuSpec) -> DerivedMetrics:
+def derive(totals: dict[EventId, int], cpu: CpuSpec) -> DerivedMetrics:
     """Reduce one region's counter totals to the derived measures.
 
     seconds = cycles/freq exactly; rates divide by that. Optional events
-    missing from the record yield None for their dependent measures.
+    missing from the totals yield None for their dependent measures.
     """
-    if EventId.CpuCycles not in record.totals:
-        raise ValueError(f"record {record.name!r} has no CpuCycles total")
-    cycles = record.totals[EventId.CpuCycles]
+    if EventId.CpuCycles not in totals:
+        raise ValueError(f"counter totals have no {EventId.CpuCycles.value} count")
+    cycles = totals[EventId.CpuCycles]
     if cycles == 0:
-        raise ZeroCycles(f"region {record.name!r} recorded zero cycles")
+        raise ZeroCycles("counter totals record zero cycles")
     seconds = cycles / cpu.freq_hz
 
-    sve = record.totals.get(EventId.SveInstRetired)
-    misses = record.totals.get(EventId.CacheMisses)
-    dtlb = record.totals.get(EventId.DtlbLoadMisses)
+    sve = totals.get(EventId.SveInstRetired)
+    misses = totals.get(EventId.CacheMisses)
+    dtlb = totals.get(EventId.DtlbLoadMisses)
     return DerivedMetrics(
         hw_cycles=float(cycles),
         seconds=seconds,

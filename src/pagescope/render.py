@@ -115,12 +115,15 @@ def ratio_chart_svg(measure_labels: list[str], cases: list[str],
 
     for tick in range(5):
         v = top / 4 * tick  # top * tick could overflow
+        # Two decimals while they fit 12 characters (below 1e9), then three
+        # significant figures, so no tick label runs to hundreds of digits.
+        text = text if len(text := f"{v:.2f}") <= 12 else m.sig3(v)
         y = y_of(v)
         svg.append(f'  <line x1="{margin_left}" y1="{y:.2f}" '
                    f'x2="{margin_left + chart_w}" y2="{y:.2f}" '
                    f'stroke="#e0e0e0"/>')
         svg.append(f'  <text x="{margin_left - 6}" y="{y + 4:.2f}" '
-                   f'text-anchor="end" font-size="10" fill="#666">{v:.2f}</text>')
+                   f'text-anchor="end" font-size="10" fill="#666">{text}</text>')
 
     # Guide line at ratio 1: bars below it are improvements.
     y1 = y_of(1.0)

@@ -10,7 +10,6 @@ the canonical config, so simulated runs reproduce byte for byte.
 
 from __future__ import annotations
 
-import functools
 import json
 import os
 import platform
@@ -27,7 +26,6 @@ from .counterhub import (
     CounterSession,
     EventId,
     RealOsBackend,
-    RegionRecord,
     SimulatedBackend,
     open_session,
     parse_event_names,
@@ -269,11 +267,12 @@ def _make_backend(config: ExperimentConfig, role: str):
     return RealOsBackend()
 
 
-def run_dict(mode: HugePageMode, record: RegionRecord, metrics: DerivedMetrics,
-             verdict: UsageVerdict, elapsed_s: float,
+def run_dict(mode: HugePageMode, region: str, reps: list[dict[EventId, int]],
+             metrics: DerivedMetrics, verdict: UsageVerdict, elapsed_s: float,
              checksum: float | None = None) -> dict:
-    """One role's entry under a report's "runs": the region's summed
-    counters and median measures, the huge-page verdict and the timer."""
+    """One role's entry under a report's "runs": its one region's counter
+    totals summed over the repetitions `reps`, their median measures, the
+    huge-page verdict and the timer."""
     return {
         "mode": mode.value,
         "elapsed_s": elapsed_s,
@@ -281,9 +280,9 @@ def run_dict(mode: HugePageMode, record: RegionRecord, metrics: DerivedMetrics,
         "verdict": {"state": verdict.state,
                     "evidence": [[name, delta] for name, delta in verdict.evidence],
                     "reason": verdict.reason},
-        "regions": {record.name: {
-            "region_count": record.region_count,
-            "totals": {ev.value: int(v) for ev, v in record.totals.items()},
+        "regions": {region: {
+            "region_count": len(reps),
+            "totals": {ev.value: sum(rep[ev] for rep in reps) for ev in reps[0]},
             "metrics": asdict(metrics)}},
     }
 
@@ -306,37 +305,39 @@ def _run_one_mode(config: ExperimentConfig, role: str,
         if before is not None:  # without a baseline, a later sample shows nothing
             during.append(monitor.sample())
 
-    rep_records: list[RegionRecord] = []
+    rep_totals: list[dict[EventId, int]] = []
     rep_elapsed: list[float] = []
     # One session per role; each repetition reads it twice.
     with open_session(backend, config.events) as session:
         for _ in range(config.repetitions):
-            record, elapsed, checksum = _run_rep(
+            totals, elapsed, checksum = _run_rep(
                 config.workload, mode, session, now_s, sample,
                 config.monitor_cadence_s)
-            rep_records.append(record)
+            rep_totals.append(totals)
             rep_elapsed.append(elapsed)
 
     during = [snap for snap in during if snap is not None]
     if before is None:
         verdict = UsageVerdict.indeterminate("meminfo unavailable")
+    elif not during:
+        verdict = UsageVerdict.indeterminate("no meminfo sample during the run")
     else:
-        verdict = detect_usage(before, during or [before])
+        verdict = detect_usage(before, during)
 
-    per_rep_metrics = [derive(r, config.cpu) for r in rep_records]
-    run = run_dict(mode, functools.reduce(RegionRecord.merged_with, rep_records),
-                   _median_metrics(per_rep_metrics), verdict,
-                   statistics.median(rep_elapsed), checksum)
+    # A run records one region, named by its workload.
+    run = run_dict(mode, config.workload.region_name, rep_totals,
+                   _median_metrics([derive(t, config.cpu) for t in rep_totals]),
+                   verdict, statistics.median(rep_elapsed), checksum)
     return run, monitor
 
 
 def _run_rep(workload, mode, session: CounterSession, now_s, sample, cadence_s):
     """One repetition: t0, a session read, the kernel or the command, a
-    session read, t1. Returns (this repetition's record, whose totals are
-    the two reads' difference, elapsed seconds, checksum or None). Between
-    the reads, `sample()` takes each meminfo sample on this thread: once a
-    built-in kernel's array is fully written (run_kernel's `touched`), or
-    every `cadence_s` while a command runs and once when it has exited.
+    session read, t1. Returns (each event's difference between the two
+    reads, elapsed seconds, checksum or None). Between the reads,
+    `sample()` takes each meminfo sample on this thread: once a built-in
+    kernel's array is fully written (run_kernel's `touched`), or every
+    `cadence_s` while a command runs and once when it has exited.
     A command's exit wakes the wait on its pidfd at once, so its elapsed
     time carries no polling delay. Its standard output is discarded, so
     it does not mix with the table; its standard error reaches ours.
@@ -345,7 +346,7 @@ def _run_rep(workload, mode, session: CounterSession, now_s, sample, cadence_s):
     applies to spawned commands, while this process's mapping policy is
     whatever the host gave us.
     """
-    returncode, checksum = 0, None
+    returncode, checksum = None, None
     if workload.kind == EXTERNAL:
         # Only a spawned command needs them. Imported before t0, so the
         # first import's milliseconds land in no role's timed region.
@@ -367,9 +368,12 @@ def _run_rep(workload, mode, session: CounterSession, now_s, sample, cadence_s):
             try:
                 pidfd = os.pidfd_open(proc.pid)
                 try:
-                    while (returncode := proc.poll()) is None:
+                    # Polled after each sample, so a command that exits
+                    # before the first poll is still sampled once.
+                    while returncode is None:
                         select.select([pidfd], [], [], cadence_s)  # readable at exit
                         sample()
+                        returncode = proc.poll()
                 finally:
                     os.close(pidfd)
             finally:
@@ -380,11 +384,10 @@ def _run_rep(workload, mode, session: CounterSession, now_s, sample, cadence_s):
             workload.passes, workload.fill, workload.alloc, touched=sample)
     end = session.read()
     t1 = now_s()
-    if returncode != 0:
+    if returncode:
         raise WorkloadFailed(mode, returncode)
-    record = RegionRecord(workload.region_name, 1,
-                          {ev: end[ev] - begin[ev] for ev in session.events})
-    return record, elapsed_timer(t0, t1), checksum
+    totals = {ev: end[ev] - begin[ev] for ev in session.events}
+    return totals, elapsed_timer(t0, t1), checksum
 
 
 def run_experiment(config: ExperimentConfig, fs=None,

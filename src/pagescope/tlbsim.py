@@ -68,9 +68,10 @@ PAGE_512M = 512 * 1024 * 1024
 DEFAULT_ENTRIES = 48  # illustrative L1 DTLB stand-in, fully associative
 
 
-def _check_page_size(p: int) -> None:
+def check_page_size(p: int, name: str = "page size") -> None:
+    """ValueError calling `p` by `name` unless it is a page size."""
     if p & (p - 1) or not PAGE_4K <= p <= PAGE_512M:
-        raise ValueError("page size must be a power of two in [4 KiB, 512 MiB]")
+        raise ValueError(f"{name} must be a power of two in [4 KiB, 512 MiB]")
 
 
 @dataclass(frozen=True)
@@ -85,7 +86,7 @@ class TlbConfig:
         ways = self.ways
         if ways < 1 or self.entries % ways:
             raise ValueError("associativity must divide entries")
-        _check_page_size(self.page_size_bytes)
+        check_page_size(self.page_size_bytes)
 
     @property
     def ways(self) -> int:
@@ -184,7 +185,7 @@ def reduce(trace, page_size_bytes: int) -> RunTrace:
     in one scan. A trace with `passes` > 1 whose data repeats with that
     period keeps its passes; any other trace is one pass, which a false
     claim pays for with a second scan."""
-    _check_page_size(page_size_bytes)
+    check_page_size(page_size_bytes)
     source = _source(trace)
     shift = _shift(page_size_bytes)
     passes = source.passes if source.accesses % source.passes == 0 else 1

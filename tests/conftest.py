@@ -13,7 +13,7 @@ from dataclasses import asdict
 
 import pytest
 
-from pagescope.counterhub import EventId, RegionRecord
+from pagescope.counterhub import EventId
 from pagescope.hugepagectl import HugePageMode, UsageVerdict
 from pagescope.metrics import CpuSpec, derive, ratios
 from pagescope.report import run_dict
@@ -67,9 +67,7 @@ def raw_totals(side: dict, freq_hz: float = REF_FREQ_HZ,
 
 
 def reference_metrics(case: dict, side_name: str):
-    side = case[side_name]
-    record = RegionRecord(case["region"], 1, raw_totals(side))
-    return derive(record, CpuSpec(REF_FREQ_HZ, REF_LINE_BYTES))
+    return derive(raw_totals(case[side_name]), CpuSpec(REF_FREQ_HZ, REF_LINE_BYTES))
 
 
 def reference_ratio_rows(case: dict):
@@ -87,9 +85,9 @@ def reference_report(label: str) -> dict:
             ("treatment", "with", HugePageMode.FujitsuHugetlbfs,
              UsageVerdict.active([("hugetlb_kb", 12288)]))):
         side = case[side_name]
-        record = RegionRecord(region, 1, raw_totals(side))
-        runs[role] = run_dict(mode, record,
-                              derive(record, CpuSpec(REF_FREQ_HZ, REF_LINE_BYTES)),
+        totals = raw_totals(side)
+        runs[role] = run_dict(mode, region, [totals],
+                              derive(totals, CpuSpec(REF_FREQ_HZ, REF_LINE_BYTES)),
                               verdict, elapsed_s=side["timer"])
     return {
         "label": label,

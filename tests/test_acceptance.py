@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from pagescope.blockmesh import TraversalPattern, UnkLayout, gen_trace, run_kernel
-from pagescope.counterhub import EventId, RegionRecord
+from pagescope.counterhub import EventId
 from pagescope.hugepagectl import (
     MEMINFO_PATH,
     THP_ENABLED_PATH,
@@ -55,12 +55,11 @@ CPU = CpuSpec(REF_FREQ_HZ, 256)
 
 def _derive_backcomputed(cycles: float, sve_rate: float, dtlb_rate: float):
     seconds = cycles / REF_FREQ_HZ
-    record = RegionRecord("fixture", 1, {
+    return derive({
         EventId.CpuCycles: int(cycles),
         EventId.SveInstRetired: round(sve_rate * cycles),
         EventId.DtlbLoadMisses: round(dtlb_rate * seconds),
-    })
-    return derive(record, CPU)
+    }, CPU)
 
 
 def test_criterion_01_first_case_metric_consistency():

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from pagescope.blockmesh import (
     ALLOC_STRATEGIES,
+    CHUNK,
     AddressTrace,
     AllocationFailure,
     IndexOutOfBounds,
@@ -562,3 +563,28 @@ def test_failed_save_keeps_the_existing_trace(tmp_path):
     assert (dest.read_bytes(), sidecar_path(dest).read_text()) == before
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "dest.trace", "dest.trace.json", "src.trace", "src.trace.json"]
+
+
+def test_reading_a_trace_that_grew_since_it_was_loaded_names_the_file(tmp_path):
+    path = tmp_path / "t.trace"
+    save_trace(gen_trace(LAYOUT, TraversalPattern.ZoneSweep), path)
+    loaded = load_trace(path)
+    with open(path, "ab") as f:
+        f.write(bytes(8))
+    with pytest.raises(ValueError, match=f"{path}: trace file changed since "
+                                         f"it was loaded"):
+        next(loaded.chunks(CHUNK))
+
+
+def test_reading_a_trace_that_shrinks_midway_names_the_file(tmp_path):
+    path = tmp_path / "t.trace"
+    save_trace(gen_trace(LAYOUT, TraversalPattern.ZoneSweep), path)
+    loaded = load_trace(path)
+    size = loaded.accesses // 4
+    chunks = loaded.chunks(size)
+    assert next(chunks).size == size
+    with open(path, "r+b") as f:
+        f.truncate(8 * size)
+    with pytest.raises(ValueError, match=f"{path}: trace file shrank while "
+                                         f"it was read"):
+        next(chunks)

@@ -519,7 +519,16 @@ def test_bad_command_line_is_one_line_error(capsys, argv):
 
 @pytest.mark.parametrize("sizes, message", [
     ("4K,x", "error: --sizes: 'x' is not a size like 4K, 2M or 4096\n"),
-    ("2M,4k,2m", "error: page size 2097152 is given twice\n"),
+    pytest.param("2M,4k,2m", "error: --sizes: '2m' repeats page size 2097152\n",
+                 id="repeated-in-another-case"),
+    pytest.param("4K,4K", "error: --sizes: '4K' repeats page size 4096\n",
+                 id="repeated"),
+    pytest.param("4K,3M", "error: --sizes: '3M' must be a power of two in "
+                 "[4 KiB, 512 MiB]\n", id="not-a-power-of-two"),
+    pytest.param("1G", "error: --sizes: '1G' must be a power of two in "
+                 "[4 KiB, 512 MiB]\n", id="above-512M"),
+    pytest.param("2K", "error: --sizes: '2K' must be a power of two in "
+                 "[4 KiB, 512 MiB]\n", id="below-4K"),
 ])
 def test_bad_sizes_name_the_token(tmp_path, capsys, sizes, message):
     argv = _trace_with_sidecar(tmp_path, lambda meta: meta) + ["--sizes", sizes]
@@ -695,6 +704,9 @@ def test_chart_of_a_huge_finite_ratio_stays_finite(tmp_path, capsys, ratio):
     svg = capsys.readouterr().out
     assert f'data-ratio="{ratio:.6g}"' in svg
     assert not re.search(r"\b(inf|nan)\b", svg)
+    # Tick labels switch to three significant figures past 1e9, so no
+    # label runs to hundreds of digits.
+    assert max(len(line) for line in svg.splitlines()) <= 160
 
 
 def test_table_of_a_huge_elapsed_time_keeps_its_columns(tmp_path, capsys):

@@ -7,7 +7,6 @@ from pagescope.counterhub import (
     CounterWentBackward,
     EventId,
     PermissionDenied,
-    RegionRecord,
     SimulatedBackend,
     UnknownEventName,
     UnsupportedEvent,
@@ -63,29 +62,20 @@ def test_unknown_event_name_rejected(monkeypatch):
 
 
 def test_region_delta_single_pair():
-    # One repetition brackets its kernel with two session reads; its record
-    # is one region whose totals are the reads' difference.
+    # One repetition brackets its kernel with two session reads; its totals
+    # are the reads' difference, one per event of the session.
     session = open_session(SimulatedBackend({EventId.CpuCycles: 500}),
                            ALL_EVENTS)
     session.read()  # a nonzero start, so only a difference reads 500
     workload = WorkloadSpec(kind="zone-sweep",
                             layout=UnkLayout.simple(2, 4, 4, 2, 2))
     clock = iter([1.0, 3.0])
-    record, elapsed, _ = _run_rep(workload, HugePageMode.Off, session,
+    totals, elapsed, _ = _run_rep(workload, HugePageMode.Off, session,
                                   lambda: next(clock), lambda: None, 1.0)
-    assert record == RegionRecord("zone-sweep", 1, record.totals)
-    assert record.totals[EventId.CpuCycles] == 500
-    assert record.totals[EventId.DtlbLoadMisses] == 0
+    assert set(totals) == ALL_EVENTS
+    assert totals[EventId.CpuCycles] == 500
+    assert totals[EventId.DtlbLoadMisses] == 0
     assert elapsed == 2.0
-
-
-def test_two_pairs_merge():
-    # A role's record is its repetitions' records merged in order.
-    one = RegionRecord("EOS", 1, {EventId.CpuCycles: 500})
-    merged = one.merged_with(one)
-    assert merged == RegionRecord("EOS", 2, {EventId.CpuCycles: 1000})
-    with pytest.raises(ValueError):
-        one.merged_with(RegionRecord("Hydro", 1, {}))
 
 
 def test_session_reads_monotonic():

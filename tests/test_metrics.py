@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from pagescope.counterhub import EventId, RegionRecord
+from pagescope.counterhub import EventId
 from pagescope.metrics import (
     LABEL_BANDWIDTH,
     LABEL_CYCLES,
@@ -26,23 +26,22 @@ from pagescope.metrics import (
 from conftest import REF_FREQ_HZ, REFERENCE_CASES, reference_metrics
 
 
-def _record(**totals):
-    return RegionRecord("r", 1, {ev: totals[ev.name] for ev in EventId
-                                 if ev.name in totals})
+def _totals(**totals):
+    return {ev: totals[ev.name] for ev in EventId if ev.name in totals}
 
 
 def test_seconds_from_cycles_eos_scale():
-    m = derive(_record(CpuCycles=int(1.25e11)), CpuSpec())
+    m = derive(_totals(CpuCycles=int(1.25e11)), CpuSpec())
     assert m.seconds == pytest.approx(69.7, rel=0.01)
 
 
 def test_seconds_from_cycles_hydro_scale():
-    m = derive(_record(CpuCycles=int(1.21e12)), CpuSpec())
+    m = derive(_totals(CpuCycles=int(1.21e12)), CpuSpec())
     assert m.seconds == pytest.approx(670.0, rel=0.01)
 
 
 def test_zero_sve_gives_zero_rate():
-    m = derive(_record(CpuCycles=10 ** 9, SveInstRetired=0), CpuSpec())
+    m = derive(_totals(CpuCycles=10 ** 9, SveInstRetired=0), CpuSpec())
     assert m.sve_per_cycle == 0
 
 
@@ -50,12 +49,12 @@ def test_dtlb_total_rederives_to_rate():
     # Independent back-computation: rate * seconds, then derive must invert it.
     seconds = 1.25e11 / REF_FREQ_HZ
     total = round(2.34e7 * seconds)
-    m = derive(_record(CpuCycles=int(1.25e11), DtlbLoadMisses=total), CpuSpec())
+    m = derive(_totals(CpuCycles=int(1.25e11), DtlbLoadMisses=total), CpuSpec())
     assert m.dtlb_misses_per_s == pytest.approx(2.34e7, rel=0.01)
 
 
 def test_missing_optional_events_marked_unavailable():
-    m = derive(_record(CpuCycles=10 ** 9), CpuSpec())
+    m = derive(_totals(CpuCycles=10 ** 9), CpuSpec())
     assert m.sve_per_cycle is None
     assert m.bandwidth_bytes_per_s is None
     assert m.dtlb_misses_per_s is None
@@ -63,12 +62,12 @@ def test_missing_optional_events_marked_unavailable():
 
 def test_missing_cycles_rejected():
     with pytest.raises(ValueError):
-        derive(_record(SveInstRetired=5), CpuSpec())
+        derive(_totals(SveInstRetired=5), CpuSpec())
 
 
 def test_zero_cycles_rejected():
     with pytest.raises(ZeroCycles):
-        derive(_record(CpuCycles=0), CpuSpec())
+        derive(_totals(CpuCycles=0), CpuSpec())
 
 
 def test_elapsed_timer():
@@ -149,8 +148,8 @@ def test_scale_covariance(k, base):
     cpu = CpuSpec()
     totals = dict(CpuCycles=base * 100, SveInstRetired=base * 31,
                   CacheMisses=base * 7, DtlbLoadMisses=base * 13)
-    m1 = derive(_record(**totals), cpu)
-    m2 = derive(_record(**{name: v * k for name, v in totals.items()}), cpu)
+    m1 = derive(_totals(**totals), cpu)
+    m2 = derive(_totals(**{name: v * k for name, v in totals.items()}), cpu)
     assert m2.seconds == pytest.approx(m1.seconds * k, rel=1e-12)
     assert m2.sve_per_cycle == pytest.approx(m1.sve_per_cycle, rel=1e-12)
     assert m2.bandwidth_bytes_per_s == pytest.approx(m1.bandwidth_bytes_per_s,

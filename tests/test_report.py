@@ -11,8 +11,8 @@ from xml.etree import ElementTree
 import pytest
 
 from pagescope.blockmesh import UnkLayout
-from pagescope.counterhub import (ALL_EVENTS, EventId, RealOsBackend, RegionRecord,
-                                  SimulatedBackend, UnknownEventName, open_session)
+from pagescope.counterhub import (ALL_EVENTS, EventId, RealOsBackend, SimulatedBackend,
+                                  UnknownEventName, open_session)
 from pagescope.hugepagectl import (
     MEMINFO_PATH,
     PERF_PARANOID_PATH,
@@ -113,7 +113,7 @@ def test_repetitions_aggregate_by_median(monkeypatch):
     for role in ("baseline", "treatment"):
         region = report["runs"][role]["regions"]["zone-sweep"]
         assert region["region_count"] == 3
-        # The role's record sums its repetitions' deltas.
+        # The region's totals sum its repetitions' deltas.
         assert region["totals"] == {ev.value: 3 * inc
                                     for ev, inc in BASE_INC.items()}
         # Median of identical simulated reps equals the single-rep value.
@@ -186,6 +186,18 @@ def test_interrupted_wait_kills_the_command():
         _run_rep(workload, HugePageMode.Off, session, time.monotonic,
                  interrupt, 0.05)
     assert time.monotonic() - start < 10
+
+
+def test_a_command_that_exits_before_its_first_poll_is_sampled(monkeypatch):
+    # Every poll finds the child exited, as when a fast command ends
+    # before the wait begins: it still gets its one sample after exit.
+    import subprocess
+    monkeypatch.setattr(subprocess.Popen, "poll", subprocess.Popen.wait)
+    samples = []
+    session = open_session(SimulatedBackend(BASE_INC), ALL_EVENTS)
+    _run_rep(WorkloadSpec(kind="external", argv=("true",)), HugePageMode.Off,
+             session, time.perf_counter, lambda: samples.append(1), 1.0)
+    assert samples == [1]
 
 
 def test_command_exit_ends_the_wait_at_once():
@@ -280,6 +292,17 @@ def test_unreadable_meminfo_sample_is_reported():
         assert (verdict["state"], verdict["reason"]) == ("indeterminate",
                                                          "meminfo unavailable")
         assert f"{role}: 1 of 1 meminfo samples could not be read" in report["warnings"]
+
+
+def test_no_meminfo_sample_during_the_run_gives_no_verdict():
+    # The baseline's before-sample reads, but its one sample during the run
+    # does not: nothing shows whether huge pages were used.
+    fs = FixtureFs({MEMINFO_PATH: [meminfo_text(), "AnonHugePages: x kB\n"]})
+    report = run_experiment(sim_config(BASE_INC, BASE_INC), fs=fs)
+    verdict = report["runs"]["baseline"]["verdict"]
+    assert (verdict["state"], verdict["evidence"], verdict["reason"]) == (
+        "indeterminate", [], "no meminfo sample during the run")
+    assert "baseline: 1 of 2 meminfo samples could not be read" in report["warnings"]
 
 
 def test_ratio_rows_match_metrics_module():
@@ -387,9 +410,9 @@ def test_render_table_reference_cells(eos_case):
 
 
 def test_render_table_unavailable_measure():
-    record = RegionRecord("r", 1, {EventId.CpuCycles: 10 ** 9})
     metrics = DerivedMetrics(1e9, 1e9 / 1.8e9, None, None, None)
-    run = run_dict(HugePageMode.Off, record, metrics, UsageVerdict.inactive(), 1.0)
+    run = run_dict(HugePageMode.Off, "r", [{EventId.CpuCycles: 10 ** 9}], metrics,
+                   UsageVerdict.inactive(), 1.0)
     report = {"label": "sparse", "config": {}, "provenance": {"config_hash": "x"},
               "runs": {"baseline": run, "treatment": run}, "ratios": {},
               "warnings": []}
@@ -400,9 +423,9 @@ def test_render_table_unavailable_measure():
 
 
 def test_render_table_labels_an_unnamed_region():
-    record = RegionRecord("", 1, {EventId.CpuCycles: 10 ** 9})
     metrics = DerivedMetrics(1e9, 1e9 / 1.8e9, None, None, None)
-    run = run_dict(HugePageMode.Off, record, metrics, UsageVerdict.inactive(), 1.0)
+    run = run_dict(HugePageMode.Off, "", [{EventId.CpuCycles: 10 ** 9}], metrics,
+                   UsageVerdict.inactive(), 1.0)
     report = {"runs": {"baseline": run, "treatment": run}}
     assert render_table(report).splitlines()[0] == "Region: (unnamed region)"
 
