@@ -168,13 +168,21 @@ def _build_run_config(args):
 def _cmd_run(args) -> int:
     from . import report
 
-    rep = report.run_experiment(_build_run_config(args), out_dir=args.out)
+    _show_run(report.run_experiment(_build_run_config(args), out_dir=args.out),
+              args.out)
+    return EXIT_OK
+
+
+def _show_run(rep: dict, out: str | None) -> None:
+    """A run's report, whole or partial: its table on stdout, then its
+    warnings and where it was saved on stderr."""
+    from . import report
+
     print(report.render_table(rep), end="")
     for warning in rep["warnings"]:
         print(f"warning: {warning}", file=sys.stderr)
-    if args.out:
-        print(f"report written under {args.out}", file=sys.stderr)
-    return EXIT_OK
+    if out:
+        print(f"report written under {out}", file=sys.stderr)
 
 
 def _cmd_tlbsim(args) -> int:
@@ -223,7 +231,7 @@ def _cmd_render(args) -> int:
     if args.format == "table":
         text = "\n".join(report.render_table(r) for r in reports)
     elif args.format == "csv":
-        text = "".join(report.render_csv(r) for r in reports)
+        text = report.render_csv(*reports)
     else:
         svg, csv = report.render_ratio_chart(reports)
         if args.out:
@@ -268,7 +276,7 @@ def main(argv: list[str] | None = None) -> int:
         if isinstance(exc, report.WorkloadFailed):
             print(f"error: {exc}", file=sys.stderr)
             if exc.partial is not None:
-                print(report.render_table(exc.partial), end="")
+                _show_run(exc.partial, args.out)
             return EXIT_WORKLOAD
         if isinstance(exc, report.CounterUnavailable):
             print(f"error: {exc}", file=sys.stderr)

@@ -94,11 +94,6 @@ class MeminfoSnapshot:
     hp_surp: int
 
     def __post_init__(self):
-        for name in ("anon_huge_kb", "shmem_huge_kb", "hugetlb_kb",
-                     "hugepagesize_kb", "hp_total", "hp_free", "hp_rsvd",
-                     "hp_surp"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
         if self.hp_free > self.hp_total + self.hp_surp:
             raise ValueError("hp_free exceeds hp_total + hp_surp")
 
@@ -210,14 +205,6 @@ class HugePageMode(enum.Enum):
 class LaunchPlan:
     env: dict[str, str] = field(default_factory=dict)
     wrapper_argv: tuple[str, ...] = ()
-
-    def command(self, argv: list[str]) -> list[str]:
-        return list(self.wrapper_argv) + list(argv)
-
-    def environ(self, base: dict[str, str]) -> dict[str, str]:
-        merged = dict(base)
-        merged.update(self.env)
-        return merged
 
 
 def plan_launch(mode: HugePageMode) -> LaunchPlan:

@@ -112,9 +112,13 @@ def _row(label: str, with_v: float | None, without_v: float | None) -> RatioRow:
     return RatioRow(label, with_v, without_v, with_v / without_v)
 
 
-def metrics_cells(m: DerivedMetrics) -> dict[str, float | None]:
-    """Table cells for one column, keyed by row label, in display units."""
-    return {
+def metrics_cells(m: DerivedMetrics,
+                  elapsed_s: float | None = None) -> dict[str, float | None]:
+    """One column's cells, keyed by row label, in display units; given the
+    whole run's elapsed seconds, the Elapsed Timer cell too. It stays
+    distinct from the region-scoped Time (s) cell: the instrumented region
+    usually covers only part of the run."""
+    cells = {
         LABEL_CYCLES: m.hw_cycles,
         LABEL_SECONDS: m.seconds,
         LABEL_SVE: m.sve_per_cycle,
@@ -122,22 +126,20 @@ def metrics_cells(m: DerivedMetrics) -> dict[str, float | None]:
                           else m.bandwidth_bytes_per_s / 1e9),
         LABEL_DTLB: m.dtlb_misses_per_s,
     }
+    if elapsed_s is not None:
+        cells[LABEL_TIMER] = elapsed_s
+    return cells
 
 
 def ratios(with_hp: DerivedMetrics, without_hp: DerivedMetrics,
            timers: tuple[float, float] | None = None) -> list[RatioRow]:
-    """One RatioRow per measure for a with/without huge-pages pair.
-
-    timers is the (with, without) pair of whole-run elapsed seconds, kept
-    distinct from the region-scoped Time (s) row: the instrumented region
-    usually covers only part of the run.
-    """
-    with_cells, without_cells = metrics_cells(with_hp), metrics_cells(without_hp)
-    rows = [_row(label, with_cells[label], without_cells[label])
+    """One RatioRow per cell of the with/without huge-pages columns;
+    timers is the (with, without) pair of whole-run elapsed seconds."""
+    with_t, without_t = timers or (None, None)
+    with_cells = metrics_cells(with_hp, with_t)
+    without_cells = metrics_cells(without_hp, without_t)
+    return [_row(label, with_cells[label], without_cells[label])
             for label in with_cells]
-    if timers is not None:
-        rows.append(_row(LABEL_TIMER, timers[0], timers[1]))
-    return rows
 
 
 def sig3(x: float) -> str:

@@ -39,12 +39,15 @@ def _xml(text: str) -> str:
     return text.translate(_XML_ESCAPES)
 
 
+def _quoted(text: str) -> str:
+    """`text` as one quoted CSV field, inner quotes doubled."""
+    return '"' + text.replace('"', '""') + '"'
+
+
 def _csv_field(text: str) -> str:
-    """`text` as one CSV field: quoted, inner quotes doubled, only when it
-    holds a comma, a quote or a line break, so plain text keeps its bytes."""
-    if any(c in text for c in ',"\r\n'):
-        return '"' + text.replace('"', '""') + '"'
-    return text
+    """`text` as one CSV field, quoted only when it holds a comma, a quote
+    or a line break, so plain text keeps its bytes."""
+    return _quoted(text) if any(c in text for c in ',"\r\n') else text
 
 
 def metrics_table(without: dict[str, float | None], with_: dict[str, float | None],
@@ -63,16 +66,18 @@ def metrics_table(without: dict[str, float | None], with_: dict[str, float | Non
     return "\n".join(lines) + "\n"
 
 
-def ratio_rows_csv(rows_by_region: dict[str, list[m.RatioRow]]) -> str:
+def ratio_rows_csv(blocks: list[tuple[str, list[dict]]]) -> str:
+    """One header, then a line per ratio row dict (a stored `RatioRow`) of
+    each (region, rows) block; the measure is always quoted."""
     lines = ["region,measure,without_hp,with_hp,ratio"]
-    for region, rows in rows_by_region.items():
+    for region, rows in blocks:
         for row in rows:
             lines.append(",".join([
                 _csv_field(region),
-                f"\"{row.measure}\"",
-                _fmt_full(row.without_hp),
-                _fmt_full(row.with_hp),
-                "n/a" if row.ratio is None else _fmt_full(row.ratio),
+                _quoted(row["measure"]),
+                _fmt_full(row["without_hp"]),
+                _fmt_full(row["with_hp"]),
+                _fmt_full(row["ratio"]),
             ]))
     return "\n".join(lines) + "\n"
 
@@ -84,7 +89,7 @@ def ratio_chart_csv(measure_labels: list[str], cases: list[str],
         for case in cases:
             value = ratios.get((label, case))
             cell = "n/a" if value is None else _fmt_ratio(value)
-            lines.append(f'"{label}",{_csv_field(case)},{cell}')
+            lines.append(f"{_quoted(label)},{_csv_field(case)},{cell}")
     return "\n".join(lines) + "\n"
 
 

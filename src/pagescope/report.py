@@ -43,8 +43,8 @@ from .hugepagectl import (
     parse_thp,
     plan_launch,
 )
-from .metrics import (LABEL_TIMER, MEASURE_LABELS, CpuSpec, DerivedMetrics, RatioRow,
-                      derive, elapsed_timer, metrics_cells, ratios)
+from .metrics import (MEASURE_LABELS, CpuSpec, DerivedMetrics, RatioRow, derive,
+                      elapsed_timer, metrics_cells, ratios)
 
 # hashlib loads OpenSSL's libcrypto, megabytes of resident memory, into a
 # process whose memory is what it measures; the interpreter's own SHA-256
@@ -358,8 +358,8 @@ def _run_rep(workload, mode, session: CounterSession, now_s, sample, cadence_s):
         plan = plan_launch(mode)
         try:
             proc = subprocess.Popen(
-                plan.command(list(workload.argv)),
-                env=plan.environ(dict(os.environ)), stdout=subprocess.DEVNULL)
+                [*plan.wrapper_argv, *workload.argv],
+                env={**os.environ, **plan.env}, stdout=subprocess.DEVNULL)
         except FileNotFoundError as exc:
             # Shell convention for command-not-found; usually the mode's
             # wrapper tool is missing, which doctor() flags in advance.
@@ -426,11 +426,9 @@ def _assemble(config: ExperimentConfig, runs: dict[str, dict],
     ratio_rows: dict[str, list[dict]] = {}
     if "baseline" in runs and "treatment" in runs:
         base, treat = runs["baseline"], runs["treatment"]
-        for region in sorted(set(base["regions"]) & set(treat["regions"])):
-            rows = ratios(DerivedMetrics(**treat["regions"][region]["metrics"]),
-                          DerivedMetrics(**base["regions"][region]["metrics"]),
-                          timers=(treat["elapsed_s"], base["elapsed_s"]))
-            ratio_rows[region] = [asdict(row) for row in rows]
+        rows = ratios(_one_region(treat)[1], _one_region(base)[1],
+                      timers=(treat["elapsed_s"], base["elapsed_s"]))
+        ratio_rows[config.workload.region_name] = [asdict(row) for row in rows]
     for role, run in runs.items():
         expect_hp = _is_hp_mode(HugePageMode(run["mode"]))
         state = run["verdict"]["state"]
@@ -482,20 +480,23 @@ def save_report(report: dict, out_dir: str | Path) -> Path:
 
 def load_report(path: str | Path) -> dict:
     """Read a saved report; ValueError naming the file unless it holds what
-    the renderers read (label, elapsed times, metrics, ratio rows) as typed."""
+    the renderers read (label, elapsed times, metrics, ratio rows) as typed,
+    for one region: each run records one, and the ratio rows name it too."""
     try:
         d = json.loads(Path(path).read_text())
         _need(isinstance(d.get("label", ""), str), "label is not a string")
+        names = set(d.get("ratios", {}))
         for run in d.get("runs", {}).values():
-            _need_numbers([run.get("elapsed_s")])
-            for info in run.get("regions", {}).values():
-                if info.get("metrics"):
-                    _need_numbers(asdict(DerivedMetrics(**info["metrics"])).values())
+            _need(len(run.get("regions", {})) == 1, "a run does not record one region")
+            region, measures = _one_region(run)
+            names.add(region)
+            _need_numbers([run.get("elapsed_s"), *asdict(measures).values()])
+        _need(len(names) <= 1, f"runs and ratios name regions {sorted(names)}")
         for rows in d.get("ratios", {}).values():
             for row in (RatioRow(**r) for r in rows):
                 _need(isinstance(row.measure, str), "a ratio measure is not a string")
                 _need_numbers([row.with_hp, row.without_hp, row.ratio])
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: not a pagescope report: {exc}") from None
     return d
 
@@ -516,49 +517,39 @@ def _need_numbers(values) -> None:
 # Rendering entry points (table / csv / chart) over the JSON dict form
 # ---------------------------------------------------------------------------
 
-def _cells_from_run(run: dict, region: str) -> dict[str, float | None]:
-    info = run.get("regions", {}).get(region)
-    if not info or not info.get("metrics"):
-        return {}
-    cells = metrics_cells(DerivedMetrics(**info["metrics"]))
-    cells[LABEL_TIMER] = run.get("elapsed_s")
-    return cells
-
-
-def report_regions(report: dict) -> list[str]:
-    names = set()
-    for run in report.get("runs", {}).values():
-        names.update(run.get("regions", {}))
-    return sorted(names)
+def _one_region(run: dict) -> tuple[str, DerivedMetrics]:
+    """A run's one region: its name and its median measures."""
+    [(region, info)] = run["regions"].items()
+    return region, DerivedMetrics(**info["metrics"])
 
 
 def render_table(report: dict) -> str:
-    """Without/With table per region, three significant figures."""
-    base = report.get("runs", {}).get("baseline", {})
-    treat = report.get("runs", {}).get("treatment", {})
-    blocks = []
-    for region in report_regions(report):
-        blocks.append(render.metrics_table(
-            _cells_from_run(base, region), _cells_from_run(treat, region), region))
-    return "\n".join(blocks)
+    """The Without/With table of the report's one region, three significant
+    figures; empty when no run finished."""
+    region, columns = None, {}
+    for role, run in report.get("runs", {}).items():
+        region, measures = _one_region(run)
+        columns[role] = metrics_cells(measures, run.get("elapsed_s"))
+    return "" if region is None else render.metrics_table(
+        columns.get("baseline", {}), columns.get("treatment", {}), region)
 
 
-def render_csv(report: dict) -> str:
-    """Full-precision machine-readable rows mirroring the table."""
-    return render.ratio_rows_csv({
-        region: [RatioRow(**r) for r in rows]
-        for region, rows in report.get("ratios", {}).items()})
+def render_csv(*reports: dict) -> str:
+    """Full-precision machine-readable rows mirroring the table, under one
+    header for all the reports."""
+    return render.ratio_rows_csv([block for rep in reports
+                                  for block in rep.get("ratios", {}).items()])
 
 
 def render_ratio_chart(reports: list[dict]) -> tuple[str, str]:
     """SVG chart plus companion CSV of several reports' ratios.
 
     Returns (svg_text, csv_text); the two carry identical ratio strings.
-    Each report charts its own first region (a pagescope run records one),
-    so reports of different workloads (say "EOS" and "3-d Hydro") sit side
-    by side; a report without ratio rows is a case with no bars. Bars are
-    keyed by report label, so two reports that share a label are a
-    ValueError.
+    Each report charts its one block of ratio rows (a pagescope run records
+    one region), so reports of different workloads (say "EOS" and "3-d
+    Hydro") sit side by side; a report without ratio rows is a case with
+    no bars. Bars are keyed by report label, so two reports that share a
+    label are a ValueError.
     """
     if not reports:
         raise ValueError("need at least one report")
@@ -571,10 +562,7 @@ def render_ratio_chart(reports: list[dict]) -> tuple[str, str]:
             raise ValueError(f"two reports share the label {case!r}; give each "
                              f"run its own with run --label")
         cases.append(case)
-        regions = sorted(rep.get("ratios", {}))
-        if not regions:
-            continue
-        for row in rep["ratios"][regions[0]]:
+        for row in next(iter(rep.get("ratios", {}).values()), []):
             if row["measure"] not in labels_present:
                 labels_present.append(row["measure"])
             ratios_map[(row["measure"], case)] = row["ratio"]

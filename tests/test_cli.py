@@ -100,6 +100,23 @@ def test_run_external_failure_shows_the_commands_stderr(capfd):
     assert "error: workload under mode 'off' exited with status 4\n" in err
 
 
+def test_run_failure_shows_the_partial_reports_warnings(tmp_path, capsys):
+    # The treatment fails; the partial report is shown as `run` shows a
+    # whole one: table on stdout, warnings and where it went on stderr.
+    rc = main(["run", "--simulate-counters", "--mode-b", "fj-thp",
+               "--out", str(tmp_path), "--",
+               "sh", "-c", 'test -z "$XOS_MMM_L_HPAGE_TYPE"'])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out.startswith("Region: main\n")
+    assert err.splitlines() == [
+        "error: workload under mode 'fj-thp' exited with status 1",
+        "warning: partial report: a workload failed before completion",
+        f"report written under {tmp_path}"]
+    saved = json.loads(next(tmp_path.glob("report-*.json")).read_text())
+    assert saved["warnings"] == ["partial report: a workload failed before completion"]
+
+
 def test_run_external_success_uses_main_region(tmp_path, capsys):
     rc = main(["run", "--simulate-counters", "--mode-a", "off",
                "--mode-b", "preload", "--out", str(tmp_path), "--",
@@ -190,6 +207,19 @@ def test_render_reports_sharing_a_label_is_one_line_error(tmp_path, capsys):
     assert out == "" and err.count("\n") == 1
     assert err.startswith("error: ") and "'experiment'" in err and "--label" in err
     assert not list(tmp_path.glob("chart*"))
+
+
+def test_render_csv_of_two_reports_has_one_header(tmp_path, capsys):
+    paths = []
+    for kind in ("zone-sweep", "block-sweep"):
+        main([*_sim_run_args(tmp_path / kind, label=kind), "--workload", kind])
+        paths += ["--report", str(next((tmp_path / kind).glob("report-*.json")))]
+    capsys.readouterr()
+    assert main(["render", *paths, "--format", "csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines.count("region,measure,without_hp,with_hp,ratio") == 1
+    assert lines[0] == "region,measure,without_hp,with_hp,ratio"
+    assert {line.split(",")[0] for line in lines[1:]} == {"zone-sweep", "block-sweep"}
 
 
 # Over 16 PB of doubles: beyond the 128 TiB user address space of any host.
@@ -673,15 +703,37 @@ def _set_first_ratio(value):
     return edit
 
 
+def _add_region(data):
+    regions = data["runs"]["baseline"]["regions"]
+    regions["other"] = regions["zone-sweep"]
+
+
+def _rename_treatment_region(data):
+    regions = data["runs"]["treatment"]["regions"]
+    regions["other"] = regions.pop("zone-sweep")
+
+
+def _rename_ratio_region(data):
+    data["ratios"]["other"] = data["ratios"].pop("zone-sweep")
+
+
 @pytest.mark.parametrize("edit", [
     _set_metric("seconds", float("inf")),
     _set_metric("seconds", float("nan")),
     _set_first_ratio(float("inf")),
     lambda data: data.update(label=7),
-], ids=["seconds-inf", "seconds-nan", "ratio-inf", "label-not-string"])
+    _add_region,
+    lambda data: data["runs"]["baseline"]["regions"].clear(),
+    _rename_treatment_region,
+    _rename_ratio_region,
+], ids=["seconds-inf", "seconds-nan", "ratio-inf", "label-not-string",
+        "two-regions", "no-region", "runs-name-two-regions",
+        "ratios-name-another-region"])
 def test_report_with_bad_value_is_refused_in_every_format(tmp_path, capsys, edit):
     # json writes and reads NaN and Infinity, so a hand-edited report can
-    # hold them; every format refuses it before rendering anything.
+    # hold them, and a pagescope report holds one region, so a hand-edited
+    # one that names more is not one; every format refuses such a report
+    # before rendering anything.
     path = _edited_report(tmp_path, edit)
     capsys.readouterr()
     for fmt in ("table", "csv", "svg"):

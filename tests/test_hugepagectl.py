@@ -117,8 +117,6 @@ def test_plan_transparent_wrapper():
     plan = plan_launch(HugePageMode.Transparent)
     assert plan.wrapper_argv == ("hugectl", "--shm", "--thp")
     assert plan.env == {}
-    assert plan.command(["./app", "-x"]) == ["hugectl", "--shm", "--thp",
-                                             "./app", "-x"]
 
 
 def test_plan_preload_env():
@@ -147,12 +145,6 @@ def test_plans_injective():
     plans = [(plan_launch(m).wrapper_argv, tuple(sorted(plan_launch(m).env.items())))
              for m in HugePageMode]
     assert len(set(plans)) == len(HugePageMode)
-
-
-def test_plan_environ_merges_over_base():
-    merged = plan_launch(HugePageMode.PreloadHugetlbfs).environ({"PATH": "/bin"})
-    assert merged["PATH"] == "/bin"
-    assert merged["LD_PRELOAD"] == "libhugetlbfs.so"
 
 
 def _snap(**kw):

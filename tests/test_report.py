@@ -448,6 +448,20 @@ def test_render_csv_quotes_the_region():
     assert {row[0] for row in rows[1:]} == {"a,b"}
 
 
+def test_csv_writers_quote_a_measure_holding_quotes_and_a_comma():
+    # A measure name is report input; a quote or a comma must not add a field.
+    measure = 'Hardware "cycles", raw'
+    report = reference_report("EOS")
+    report["ratios"]["EOS"][0]["measure"] = measure
+    rows = list(csv.reader(io.StringIO(render_csv(report))))
+    assert len(rows) > 1 and all(len(row) == 5 for row in rows)
+    assert rows[1][1] == measure
+    _, chart_csv = render_ratio_chart([report])
+    rows = list(csv.reader(io.StringIO(chart_csv)))
+    assert len(rows) > 1 and all(len(row) == 3 for row in rows)
+    assert measure in {row[0] for row in rows}
+
+
 def _svg_ratios(svg):
     return {(m.group(1), m.group(2)): m.group(3)
             for m in re.finditer(
