@@ -396,16 +396,12 @@ def run_kernel(layout: UnkLayout, pattern: TraversalPattern, passes: int,
         raise AllocationFailure(f"cannot allocate {nbytes} bytes: more than the "
                                 f"{physical} bytes of physical memory")
     try:
-        if alloc == "eager":
-            arr = np.full(layout.elements, fill, dtype=np.float64)
-        else:
-            arr = np.empty(layout.elements, dtype=np.float64)
+        arr = np.empty(layout.elements, dtype=np.float64)
     except MemoryError as exc:
         raise AllocationFailure(f"cannot allocate {nbytes} bytes") from exc
 
     views = _run_views(arr, _single_pass_runs(layout, pattern))
-    if alloc == "demand":
-        views[0][...] = fill
+    (arr if alloc == "eager" else views[0])[...] = fill
     touched()
     checksum = 0.0
     for _ in range(passes):

@@ -399,6 +399,8 @@ def run_experiment(config: ExperimentConfig, fs=None,
     are preserved on the raised WorkloadFailed as a partial report.
     """
     fs = fs if fs is not None else RealFs()
+    if out_dir is not None:
+        _probe_dir(Path(out_dir))
     runs: dict[str, dict] = {}
     monitors: dict[str, MeminfoMonitor] = {}
     for role in ("baseline", "treatment"):
@@ -414,6 +416,16 @@ def run_experiment(config: ExperimentConfig, fs=None,
     if out_dir is not None:
         save_report(report, out_dir)
     return report
+
+
+def _probe_dir(out: Path) -> None:
+    """Make `out` as save_report will, then remove what was made: a
+    directory that cannot be made fails before anything runs, and a run
+    that fails later leaves none behind."""
+    missing = [p for p in (out, *out.parents) if not p.exists()]
+    out.mkdir(parents=True, exist_ok=True)
+    for p in missing:  # the deepest first
+        p.rmdir()
 
 
 def _is_hp_mode(mode: HugePageMode) -> bool:

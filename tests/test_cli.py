@@ -117,6 +117,19 @@ def test_run_failure_shows_the_partial_reports_warnings(tmp_path, capsys):
     assert saved["warnings"] == ["partial report: a workload failed before completion"]
 
 
+def test_run_refuses_a_bad_out_before_running_anything(tmp_path, capsys):
+    # A results directory that cannot be made fails before the baseline
+    # starts, not after both roles have run and their report is lost.
+    out, marker = tmp_path / "outfile", tmp_path / "marker"
+    out.touch()
+    rc = main(["run", "--simulate-counters", "--mode-b", "fj-thp",
+               "--out", str(out), "--", "sh", "-c", f"touch '{marker}'"])
+    assert rc == 3
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert not marker.exists()
+
+
 def test_run_external_success_uses_main_region(tmp_path, capsys):
     rc = main(["run", "--simulate-counters", "--mode-a", "off",
                "--mode-b", "preload", "--out", str(tmp_path), "--",

@@ -2,6 +2,7 @@ import io
 import tempfile
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -102,6 +103,19 @@ def test_oracle_equals_simulate_on_random_trace():
     for entries in (4, 16, 48):
         sim = simulate(TlbConfig(entries=entries), trace)
         assert sim == stack_distance_oracle(entries, trace, PAGE_4K)
+
+
+def test_oracle_reads_every_input_kind(tmp_path):
+    # A generated trace, the same trace saved and loaded, its offsets, and
+    # an object with only `offsets` all give the fully associative replay.
+    path = tmp_path / "block.trace"
+    save_trace(BLOCK_TRACE, path)
+    inputs = [BLOCK_TRACE, load_trace(path), BLOCK_TRACE.offsets,
+              SimpleNamespace(offsets=BLOCK_TRACE.offsets)]
+    for entries in (4, 16):
+        want = simulate(TlbConfig(entries=entries), BLOCK_TRACE)
+        assert [stack_distance_oracle(entries, t, PAGE_4K) for t in inputs] \
+            == [want] * len(inputs)
 
 
 def test_set_associative_conflict_eviction():
