@@ -100,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--passes", type=int, default=1)
     tr.add_argument("--out", required=True)
 
-    sub.add_parser("doctor", help="report host capabilities (read-only)")
+    sub.add_parser("doctor", help="print host capabilities as JSON (read-only)")
 
     ren = sub.add_parser("render", help="render a saved report")
     ren.add_argument("--report", required=True, action="append",
@@ -220,7 +220,7 @@ def _cmd_trace(args) -> int:
 def _cmd_doctor(_args) -> int:
     from . import report
 
-    print(report.doctor().render(), end="")
+    print(report.report_to_json(report.doctor()), end="")
     return EXIT_OK
 
 

@@ -56,25 +56,39 @@ def derive(totals: dict[EventId, int], cpu: CpuSpec) -> DerivedMetrics:
     """Reduce one region's counter totals to the derived measures.
 
     seconds = cycles/freq exactly; rates divide by that. Optional events
-    missing from the totals yield None for their dependent measures.
+    missing from the totals yield None for their dependent measures. A
+    measure that is not a finite float raises ValueError naming it.
     """
     if EventId.CpuCycles not in totals:
         raise ValueError(f"counter totals have no {EventId.CpuCycles.value} count")
     cycles = totals[EventId.CpuCycles]
     if cycles == 0:
         raise ZeroCycles("counter totals record zero cycles")
-    seconds = cycles / cpu.freq_hz
+
+    def measure(name: str, count: int | None, per: float, scale: int = 1):
+        """count * scale / per, or None without a count."""
+        if count is None:
+            return None
+        try:
+            value = count * scale / per
+        except OverflowError:  # an int too large for a float
+            value = math.inf
+        if not math.isfinite(value):
+            raise ValueError(f"derived {name} is beyond a float's range; "
+                             "check the cpu's freq_hz and line_bytes")
+        return value
 
     sve = totals.get(EventId.SveInstRetired)
     misses = totals.get(EventId.CacheMisses)
     dtlb = totals.get(EventId.DtlbLoadMisses)
+    seconds = measure("seconds", cycles, cpu.freq_hz)
     return DerivedMetrics(
-        hw_cycles=float(cycles),
+        hw_cycles=measure("hw_cycles", cycles, 1),
         seconds=seconds,
-        sve_per_cycle=None if sve is None else sve / cycles,
-        bandwidth_bytes_per_s=(None if misses is None
-                               else misses * cpu.line_bytes / seconds),
-        dtlb_misses_per_s=None if dtlb is None else dtlb / seconds,
+        sve_per_cycle=measure("sve_per_cycle", sve, cycles),
+        bandwidth_bytes_per_s=measure("bandwidth_bytes_per_s", misses, seconds,
+                                      cpu.line_bytes),
+        dtlb_misses_per_s=measure("dtlb_misses_per_s", dtlb, seconds),
     )
 
 

@@ -33,6 +33,7 @@ from .counterhub import (
 from .hugepagectl import (
     BOOT_PARAM_CHECKLIST,
     HugePageMode,
+    MEMINFO_PATH,
     MeminfoMonitor,
     PERF_PARANOID_PATH,
     RealFs,
@@ -40,6 +41,7 @@ from .hugepagectl import (
     ThpMode,
     UsageVerdict,
     detect_usage,
+    parse_meminfo,
     parse_thp,
     plan_launch,
 )
@@ -589,70 +591,38 @@ def render_ratio_chart(reports: list[dict]) -> tuple[str, str]:
 # Capability doctor
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CapabilityReport:
-    thp_mode: ThpMode | None
-    meminfo_ok: bool
-    paranoid: int | None
-    counter_state: dict[str, str]
-    tools: dict[str, bool]
-    advisories: list[str]
-    checklist: tuple[str, ...] = BOOT_PARAM_CHECKLIST
+def doctor(fs=None, which=shutil.which, probe=None) -> dict:
+    """The host's capabilities as one JSON-ready dict: THP mode, meminfo,
+    perf_event_paranoid, each counter's probe result, the wrapper tools,
+    advisories and the provisioning checklist.
 
-    def render(self) -> str:
-        lines = ["capability report"]
-        lines.append(f"  THP mode:            "
-                     f"{self.thp_mode.value if self.thp_mode else 'unavailable'}")
-        lines.append(f"  meminfo huge fields: {'ok' if self.meminfo_ok else 'missing'}")
-        lines.append(f"  perf_event_paranoid: "
-                     f"{self.paranoid if self.paranoid is not None else 'unavailable'}")
-        for name, state in sorted(self.counter_state.items()):
-            lines.append(f"  counter {name}: {state}")
-        for tool, present in sorted(self.tools.items()):
-            lines.append(f"  tool {tool}: {'found' if present else 'not found'}")
-        if self.advisories:
-            lines.append("advisories:")
-            lines.extend(f"  - {a}" for a in self.advisories)
-        else:
-            lines.append("advisories: none")
-        lines.append("provisioning checklist (reference only, never applied):")
-        lines.extend(f"  - {c}" for c in self.checklist)
-        return "\n".join(lines) + "\n"
-
-
-def doctor(fs=None, which=shutil.which, probe=None) -> CapabilityReport:
-    """Inspect counter access, THP state, meminfo, and wrapper tools.
-
-    Read-only: advisory text plus the provisioning checklist; nothing is
-    ever written.
+    Read-only: nothing is ever written.
     """
     fs = fs if fs is not None else RealFs()
     probe = probe if probe is not None else RealOsBackend.probe
-    advisories = []
 
-    thp_mode = None
-    try:
-        thp_mode = parse_thp(fs.read_text(THP_ENABLED_PATH))
-    except (OSError, ValueError):
+    def read(path, parse):
+        try:
+            return parse(fs.read_text(path))
+        except (OSError, ValueError):
+            return None
+
+    thp_mode = read(THP_ENABLED_PATH, parse_thp)
+    meminfo_ok = read(MEMINFO_PATH, parse_meminfo) is not None
+    paranoid = read(PERF_PARANOID_PATH, int)
+
+    advisories = []
+    if thp_mode is None:
         advisories.append("transparent huge page state unavailable "
                           f"({THP_ENABLED_PATH})")
     if thp_mode is ThpMode.Never:
         advisories.append("transparent huge pages disabled")
-
-    meminfo_ok = True
-    try:
-        MeminfoMonitor(fs).poll_once()
-    except (OSError, ValueError):
-        meminfo_ok = False
+    if not meminfo_ok:
         advisories.append("huge-page fields missing from /proc/meminfo; "
                           "usage verification will be indeterminate")
-
-    paranoid = None
-    try:
-        paranoid = int(fs.read_text(PERF_PARANOID_PATH).strip())
-    except (OSError, ValueError):
+    if paranoid is None:
         advisories.append("perf_event_paranoid unreadable; counter access unknown")
-    if paranoid is not None and paranoid > 2:
+    elif paranoid > 2:
         advisories.append(f"perf_event_paranoid={paranoid} too strict; "
                           "unprivileged counters need kernel.perf_event_paranoid=1")
 
@@ -670,6 +640,7 @@ def doctor(fs=None, which=shutil.which, probe=None) -> CapabilityReport:
         if not present:
             advisories.append(f"{tool} not found (install libhugetlbfs-utils)")
 
-    return CapabilityReport(thp_mode=thp_mode, meminfo_ok=meminfo_ok,
-                            paranoid=paranoid, counter_state=counter_state,
-                            tools=tools, advisories=advisories)
+    return {"thp_mode": None if thp_mode is None else thp_mode.value,
+            "meminfo_ok": meminfo_ok, "paranoid": paranoid,
+            "counter_state": counter_state, "tools": tools,
+            "advisories": advisories, "checklist": list(BOOT_PARAM_CHECKLIST)}

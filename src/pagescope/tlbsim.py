@@ -81,8 +81,8 @@ class TlbConfig:
     page_size_bytes: int = PAGE_4K
 
     def __post_init__(self):
-        if self.entries < 1:
-            raise ValueError("entries must be >= 1")
+        if not 1 <= self.entries < 2 ** 63:  # simulate takes int64 ids % sets
+            raise ValueError("entries must be >= 1 and < 2**63")
         ways = self.ways
         if ways < 1 or self.entries % ways:
             raise ValueError("associativity must divide entries")

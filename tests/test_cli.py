@@ -154,9 +154,17 @@ def test_run_keeps_a_double_dash_inside_the_external_command(tmp_path, capsys):
 
 def test_doctor_runs_and_reports(capsys):
     assert main(["doctor"]) == 0
-    out = capsys.readouterr().out
-    assert "capability report" in out
-    assert "provisioning checklist" in out
+    cap = json.loads(capsys.readouterr().out)
+    assert "thp_mode" in cap
+    assert cap["checklist"] == list(hugepagectl.BOOT_PARAM_CHECKLIST)
+
+
+def test_doctor_prints_one_json_object_of_seven_keys(capsys):
+    assert main(["doctor"]) == 0
+    cap = json.loads(capsys.readouterr().out)
+    assert isinstance(cap, dict)
+    assert set(cap) == {"thp_mode", "meminfo_ok", "paranoid", "counter_state",
+                        "tools", "advisories", "checklist"}
 
 
 def test_render_formats(tmp_path, capsys):
@@ -233,6 +241,19 @@ def test_render_csv_of_two_reports_has_one_header(tmp_path, capsys):
     assert lines.count("region,measure,without_hp,with_hp,ratio") == 1
     assert lines[0] == "region,measure,without_hp,with_hp,ratio"
     assert {line.split(",")[0] for line in lines[1:]} == {"zone-sweep", "block-sweep"}
+
+
+@pytest.mark.parametrize("flags, measure", [
+    (["--freq-hz", "1e308"], "bandwidth_bytes_per_s"),
+    (["--freq-hz", "1e-320"], "seconds"),
+    (["--line-bytes", str(2 ** 1100)], "bandwidth_bytes_per_s"),
+], ids=["freq-huge", "freq-subnormal", "line-bytes-huge"])
+def test_measure_beyond_a_float_is_one_line_error(tmp_path, capsys, flags, measure):
+    assert main([*_sim_run_args(tmp_path / "out"), *flags]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: derived {measure} ") and err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
 
 
 # Over 16 PB of doubles: beyond the 128 TiB user address space of any host.
@@ -511,6 +532,12 @@ def _entries_not_an_int(tmp_path):
     return ["tlbsim", "--trace", str(tmp_path / "t.trace"), "--entries", "x"]
 
 
+def _entries_beyond_int64(tmp_path):
+    main(["trace", "--layout", "1,2,2,2,2", "--out", str(tmp_path / "t.trace")])
+    return ["tlbsim", "--trace", str(tmp_path / "t.trace"),
+            "--entries", str(2 ** 63), "--assoc", "1"]
+
+
 def _pattern_unknown(tmp_path):
     return ["trace", "--pattern", "bogus", "--out", str(tmp_path / "t.trace")]
 
@@ -521,7 +548,8 @@ def _tlbsim_without_trace(tmp_path):
 
 # What the error line of some inputs below must name.
 _TRACE_ERRORS = {_sidecar_without_passes: "sidecar has no key 'passes'",
-                 _sidecar_elem_bytes_4: "elem_bytes 4 disagrees with the layout's 8"}
+                 _sidecar_elem_bytes_4: "elem_bytes 4 disagrees with the layout's 8",
+                 _entries_beyond_int64: "entries must be >= 1 and < 2**63"}
 
 
 @pytest.mark.parametrize("make_argv", [_missing_trace, _ragged_trace,
@@ -534,6 +562,7 @@ _TRACE_ERRORS = {_sidecar_without_passes: "sidecar has no key 'passes'",
                                        _sidecar_float_layout, _malformed_layout,
                                        _invalid_layout, _sizes_not_a_size,
                                        _sizes_repeated, _entries_not_an_int,
+                                       _entries_beyond_int64,
                                        _pattern_unknown, _tlbsim_without_trace])
 def test_bad_trace_input_is_one_line_error(tmp_path, capsys, make_argv):
     argv = make_argv(tmp_path)

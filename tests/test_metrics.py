@@ -70,6 +70,23 @@ def test_zero_cycles_rejected():
         derive(_totals(CpuCycles=0), CpuSpec())
 
 
+@pytest.mark.parametrize("cpu, totals, measure", [
+    (CpuSpec(freq_hz=1e-320), _totals(CpuCycles=10 ** 9), "seconds"),
+    (CpuSpec(freq_hz=1e308), _totals(CpuCycles=10, CacheMisses=10 ** 9),
+     "bandwidth_bytes_per_s"),
+    (CpuSpec(line_bytes=2 ** 1100), _totals(CpuCycles=10 ** 9, CacheMisses=1),
+     "bandwidth_bytes_per_s"),
+    (CpuSpec(), _totals(CpuCycles=10 ** 400), "seconds"),
+    (CpuSpec(), _totals(CpuCycles=1, SveInstRetired=10 ** 400), "sve_per_cycle"),
+    (CpuSpec(freq_hz=1e308), _totals(CpuCycles=1, DtlbLoadMisses=10 ** 9),
+     "dtlb_misses_per_s"),
+], ids=["freq-subnormal", "freq-huge", "line-bytes-huge", "cycles-huge",
+        "sve-huge", "dtlb-rate-huge"])
+def test_measure_beyond_a_float_is_rejected_by_name(cpu, totals, measure):
+    with pytest.raises(ValueError, match=f"^derived {measure} "):
+        derive(totals, cpu)
+
+
 def test_elapsed_timer():
     assert elapsed_timer(0.0, 339.032) == 339.032
     assert elapsed_timer(5.0, 5.0) == 0.0

@@ -551,23 +551,23 @@ def _probe_ok():
 def test_doctor_all_capabilities_present():
     cap = doctor(fs=_good_fs(), which=lambda tool: f"/usr/bin/{tool}",
                  probe=_probe_ok)
-    assert cap.advisories == []
-    assert cap.thp_mode == ThpMode.Always
-    assert cap.meminfo_ok
-    assert cap.paranoid == 1
+    assert cap["advisories"] == []
+    assert cap["thp_mode"] == ThpMode.Always.value
+    assert cap["meminfo_ok"]
+    assert cap["paranoid"] == 1
 
 
 def test_doctor_flags_disabled_thp():
     fs = _good_fs()
     fs._files[THP_ENABLED_PATH] = "always madvise [never]"
     cap = doctor(fs=fs, which=lambda t: "/usr/bin/x", probe=_probe_ok)
-    assert any("transparent huge pages disabled" in a for a in cap.advisories)
+    assert any("transparent huge pages disabled" in a for a in cap["advisories"])
 
 
 def test_doctor_flags_each_unreadable_file():
     cap = doctor(fs=FixtureFs({}), which=lambda t: "/usr/bin/x", probe=_probe_ok)
-    assert (cap.thp_mode, cap.meminfo_ok, cap.paranoid) == (None, False, None)
-    assert cap.advisories == [
+    assert (cap["thp_mode"], cap["meminfo_ok"], cap["paranoid"]) == (None, False, None)
+    assert cap["advisories"] == [
         f"transparent huge page state unavailable ({THP_ENABLED_PATH})",
         "huge-page fields missing from /proc/meminfo; "
         "usage verification will be indeterminate",
@@ -578,14 +578,14 @@ def test_doctor_flags_strict_paranoid():
     fs = _good_fs()
     fs._files[PERF_PARANOID_PATH] = "4\n"
     cap = doctor(fs=fs, which=lambda t: "/usr/bin/x", probe=_probe_ok)
-    assert any("perf_event_paranoid" in a for a in cap.advisories)
-    assert any("kernel.perf_event_paranoid=1" in a for a in cap.advisories)
+    assert any("perf_event_paranoid" in a for a in cap["advisories"])
+    assert any("kernel.perf_event_paranoid=1" in a for a in cap["advisories"])
 
 
 def test_doctor_flags_denied_counters():
     cap = doctor(fs=_good_fs(), which=lambda t: "/usr/bin/x",
                  probe=lambda: {ev: "denied" for ev in EventId})
-    assert any("not programmable" in a for a in cap.advisories)
+    assert any("not programmable" in a for a in cap["advisories"])
 
 
 def test_doctor_reports_a_failed_probe_apart_from_the_events():
@@ -593,21 +593,22 @@ def test_doctor_reports_a_failed_probe_apart_from_the_events():
         raise OSError("no perf")
 
     cap = doctor(fs=_good_fs(), which=lambda t: "/usr/bin/x", probe=probe)
-    assert "counter probe failed: no perf" in cap.advisories
-    assert "counter probe:" not in cap.render()
-    assert not any("counters not programmable" in a for a in cap.advisories)
+    assert "counter probe failed: no perf" in cap["advisories"]
+    assert cap["counter_state"] == {}
+    assert not any("counters not programmable" in a for a in cap["advisories"])
 
 
 def test_doctor_flags_missing_tools_and_never_writes():
     # FixtureFs has no write method: a write doctor attempted would raise.
     cap = doctor(fs=_good_fs(), which=lambda tool: None, probe=_probe_ok)
-    assert any("hugectl" in a for a in cap.advisories)
-    assert any("hugeadm" in a for a in cap.advisories)
+    assert any("hugectl" in a for a in cap["advisories"])
+    assert any("hugeadm" in a for a in cap["advisories"])
 
 
 def test_doctor_render_includes_checklist():
-    cap = doctor(fs=_good_fs(), which=lambda t: "/usr/bin/x", probe=_probe_ok)
-    text = cap.render()
+    # What `pagescope doctor` prints.
+    text = report_to_json(doctor(fs=_good_fs(), which=lambda t: "/usr/bin/x",
+                                 probe=_probe_ok))
     assert "hugepagesz=2M hugepagesz=512M default_hugepagesz=2M" in text
     assert "kernel.perf_event_paranoid=1" in text
     # Selecting the THP mode is a step for an administrator, never a command.
