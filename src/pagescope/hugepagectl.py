@@ -1,14 +1,15 @@
 """Observe, plan, and verify huge-page usage on Linux.
 
-Everything here works off two files, /proc/meminfo and
-/sys/kernel/mm/transparent_hugepage/enabled, read through a small
-read-only filesystem abstraction so the whole module is testable from
-canned fixtures without root or even Linux. Nothing here writes a host
-setting: huge pages are chosen per command by its launch plan. Launch
-plans render the three enablement mechanisms (hugectl wrapper,
-libhugetlbfs preload, the Fujitsu runtime env var) as exact env/argv
-fragments; usage verification compares meminfo snapshots taken before and
-during a run.
+Everything here reads three files, /proc/meminfo,
+/sys/kernel/mm/transparent_hugepage/enabled and (for doctor)
+/proc/sys/kernel/perf_event_paranoid, through a small read-only filesystem
+abstraction so the whole module is testable from canned fixtures without
+root or even Linux. Nothing here writes a host setting: huge pages are
+chosen per command by its launch plan. Launch plans render the three
+enablement mechanisms (hugectl wrapper, libhugetlbfs preload, the Fujitsu
+runtime env var) as exact env/argv fragments; usage verification compares
+meminfo samples taken before and during a run. A sample is a dict keyed by
+the eight field names in _TRACKED (anon_huge_kb and the rest).
 """
 
 from __future__ import annotations
@@ -82,23 +83,7 @@ class FixtureFs:
 # /proc/meminfo
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MeminfoSnapshot:
-    anon_huge_kb: int
-    shmem_huge_kb: int
-    hugetlb_kb: int
-    hugepagesize_kb: int
-    hp_total: int
-    hp_free: int
-    hp_rsvd: int
-    hp_surp: int
-
-    def __post_init__(self):
-        if self.hp_free > self.hp_total + self.hp_surp:
-            raise ValueError("hp_free exceeds hp_total + hp_surp")
-
-
-# meminfo key -> (snapshot field, value carries a kB suffix)
+# meminfo key -> (sample key, value carries a kB suffix)
 _TRACKED = {
     "AnonHugePages": ("anon_huge_kb", True),
     "ShmemHugePages": ("shmem_huge_kb", True),
@@ -114,8 +99,9 @@ EVIDENCE_FIELDS = ("anon_huge_kb", "shmem_huge_kb", "hugetlb_kb", "hp_total")
 _POOL_FIELDS = ("hp_free", "hp_rsvd", "hp_surp", "hugepagesize_kb")
 
 
-def parse_meminfo(text: str) -> MeminfoSnapshot:
-    """Extract the eight huge-page fields from a /proc/meminfo document.
+def parse_meminfo(text: str) -> dict[str, int]:
+    """Extract the eight huge-page fields from a /proc/meminfo document,
+    keyed by their names in _TRACKED.
 
     Untracked lines are ignored; a tracked line that fails to parse raises
     MalformedLine, and a tracked key that never appears raises MissingField.
@@ -142,7 +128,9 @@ def parse_meminfo(text: str) -> MeminfoSnapshot:
     for key, (fieldname, _) in _TRACKED.items():
         if fieldname not in found:
             raise MissingField(key)
-    return MeminfoSnapshot(**found)
+    if found["hp_free"] > found["hp_total"] + found["hp_surp"]:
+        raise ValueError("hp_free exceeds hp_total + hp_surp")
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -235,23 +223,9 @@ class UsageVerdict:
     evidence: tuple[tuple[str, int], ...] = ()
     reason: str | None = None
 
-    @classmethod
-    def active(cls, evidence: list[tuple[str, int]]) -> "UsageVerdict":
-        if not any(delta > 0 for _, delta in evidence):
-            raise ValueError("active verdict needs a positive evidence delta")
-        return cls("active", tuple(evidence))
 
-    @classmethod
-    def inactive(cls) -> "UsageVerdict":
-        return cls("inactive")
-
-    @classmethod
-    def indeterminate(cls, reason: str) -> "UsageVerdict":
-        return cls("indeterminate", reason=reason)
-
-
-def detect_usage(before: MeminfoSnapshot,
-                 during: list[MeminfoSnapshot]) -> UsageVerdict:
+def detect_usage(before: dict[str, int],
+                 during: list[dict[str, int]]) -> UsageVerdict:
     """Judge whether huge pages were in use from meminfo movement.
 
     Active: any positive delta versus the baseline in an evidence field
@@ -261,26 +235,21 @@ def detect_usage(before: MeminfoSnapshot,
     (another tenant churning the pool).
     """
     if not during:
-        raise ValueError("need at least one during-run snapshot")
+        raise ValueError("need at least one during-run sample")
 
-    evidence = []
-    for name in EVIDENCE_FIELDS:
-        peak = max(getattr(snap, name) - getattr(before, name) for snap in during)
-        if peak > 0:
-            evidence.append((name, peak))
+    evidence = tuple((name, peak) for name in EVIDENCE_FIELDS
+                     if (peak := max(s[name] for s in during) - before[name]) > 0)
     if evidence:
-        return UsageVerdict.active(evidence)
+        return UsageVerdict("active", evidence)
 
-    for name in EVIDENCE_FIELDS + _POOL_FIELDS:
-        deltas = [getattr(snap, name) - getattr(before, name) for snap in during]
-        went_up = any(d > 0 for d in deltas)
-        went_down = any(d < 0 for d in deltas)
-        if went_up and went_down:
-            return UsageVerdict.indeterminate(f"{name} non-monotone")
-        if went_up:
-            return UsageVerdict.indeterminate(
-                f"{name} increased without huge-page evidence")
-    return UsageVerdict.inactive()
+    # No evidence field rose, so only a pool field can have.
+    for name in _POOL_FIELDS:
+        values = [s[name] for s in during]
+        if max(values) > before[name]:
+            how = ("non-monotone" if min(values) < before[name]
+                   else "increased without huge-page evidence")
+            return UsageVerdict("indeterminate", reason=f"{name} {how}")
+    return UsageVerdict("inactive")
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +257,7 @@ def detect_usage(before: MeminfoSnapshot,
 # ---------------------------------------------------------------------------
 
 class MeminfoMonitor:
-    """Reads meminfo snapshots on the caller's thread and counts the reads.
+    """Reads meminfo samples on the caller's thread and counts the reads.
 
     The caller takes each sample itself, at the points of its run it
     chooses (report._run_one_mode names them), so nothing runs beside the
@@ -300,10 +269,10 @@ class MeminfoMonitor:
         self.samples = 0  # reads attempted through sample()
         self.dropped = 0  # of those, reads that failed
 
-    def poll_once(self) -> MeminfoSnapshot:
+    def poll_once(self) -> dict[str, int]:
         return parse_meminfo(self.fs.read_text(MEMINFO_PATH))
 
-    def sample(self) -> MeminfoSnapshot | None:
+    def sample(self) -> dict[str, int] | None:
         """One poll, or None when meminfo cannot be read or parsed; a
         failed read is counted in `dropped` instead of raising, so one bad
         read neither ends the run nor goes unreported."""

@@ -123,7 +123,9 @@ class RatioRow:
 def _row(label: str, with_v: float | None, without_v: float | None) -> RatioRow:
     if with_v is None or without_v is None or without_v <= 0:
         return RatioRow(label, with_v, without_v, None)
-    return RatioRow(label, with_v, without_v, with_v / without_v)
+    ratio = with_v / without_v  # infinite when beyond a float's range
+    return RatioRow(label, with_v, without_v,
+                    ratio if math.isfinite(ratio) else None)
 
 
 def metrics_cells(m: DerivedMetrics,

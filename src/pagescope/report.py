@@ -11,11 +11,13 @@ the canonical config, so simulated runs reproduce byte for byte.
 from __future__ import annotations
 
 import json
+import math
 import os
 import platform
 import shutil
 import statistics
 import sys
+import threading
 import time
 from dataclasses import asdict, astuple, dataclass, field, fields
 from pathlib import Path
@@ -179,9 +181,12 @@ class ExperimentConfig:
             raise ValueError("baseline and treatment modes must differ")
         if self.backend not in ("simulated", "real"):
             raise ValueError(f"unknown backend {self.backend!r}")
+        # select() refuses a wait longer than threading's bound.
         cadence = self.monitor_cadence_s
-        if type(cadence) not in (int, float) or not cadence > 0:
-            raise ValueError(f"monitor_cadence_s {cadence!r} is not a number > 0")
+        if (type(cadence) not in (int, float)
+                or not 0 < cadence <= threading.TIMEOUT_MAX):
+            raise ValueError(f"monitor_cadence_s {cadence!r} is not a number "
+                             f"in (0, {threading.TIMEOUT_MAX}]")
         if not isinstance(self.label, str):
             raise ValueError("label must be a string")
         if EventId.CpuCycles not in self.events:
@@ -250,10 +255,15 @@ class ExperimentConfig:
 
 
 def _median_metrics(per_rep: list[DerivedMetrics]) -> DerivedMetrics:
-    """Each measure's median over the repetitions that have it."""
+    """Each measure's median over the repetitions that have it: the mean
+    of the middle pair (one value twice for an odd count), taken as
+    a / 2 + b / 2 where a + b overflows."""
     def med(values):
-        present = [v for v in values if v is not None]
-        return statistics.median(present) if present else None
+        present = sorted(v for v in values if v is not None)
+        if not present:
+            return None
+        a, b = present[(len(present) - 1) // 2], present[len(present) // 2]
+        return (a + b) / 2 if math.isfinite(a + b) else a / 2 + b / 2
 
     return DerivedMetrics(*(med(values) for values in zip(*map(astuple, per_rep))))
 
@@ -320,9 +330,10 @@ def _run_one_mode(config: ExperimentConfig, role: str,
 
     during = [snap for snap in during if snap is not None]
     if before is None:
-        verdict = UsageVerdict.indeterminate("meminfo unavailable")
+        verdict = UsageVerdict("indeterminate", reason="meminfo unavailable")
     elif not during:
-        verdict = UsageVerdict.indeterminate("no meminfo sample during the run")
+        verdict = UsageVerdict("indeterminate",
+                               reason="no meminfo sample during the run")
     else:
         verdict = detect_usage(before, during)
 

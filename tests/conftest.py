@@ -81,9 +81,9 @@ def reference_report(label: str) -> dict:
     region = case["region"]
     runs = {}
     for role, side_name, mode, verdict in (
-            ("baseline", "without", HugePageMode.Off, UsageVerdict.inactive()),
+            ("baseline", "without", HugePageMode.Off, UsageVerdict("inactive")),
             ("treatment", "with", HugePageMode.FujitsuHugetlbfs,
-             UsageVerdict.active([("hugetlb_kb", 12288)]))):
+             UsageVerdict("active", (("hugetlb_kb", 12288),)))):
         side = case[side_name]
         totals = raw_totals(side)
         runs[role] = run_dict(mode, region, [totals],

@@ -366,6 +366,8 @@ def _truncated_config(tmp_path):
     _config_file({"cpu": {"freq_hz": 10 ** 400}}),
     _config_file({"strict": "no", "cpu": {"line_bytes": 256}}),
     _config_file({"monitor_cadence_s": True}),
+    _config_file({"monitor_cadence_s": 1e300}),
+    _config_file({"monitor_cadence_s": float("inf")}),
     _config_file({"simulated_increments": {
         "baseline": {"PERF_COUNT_HW_CPU_CYCLES": 900},
         "treatment": {"PERF_COUNT_HW_CPU_CYCLES": 900},
@@ -388,7 +390,8 @@ def _truncated_config(tmp_path):
         "config-cycles-increment-missing", "config-line-bytes-float",
         "config-line-bytes-bool", "config-line-bytes-string", "config-freq-bool",
         "config-freq-string", "config-freq-huge-int", "config-strict-unknown-key",
-        "config-cadence-bool", "config-increments-unknown-role",
+        "config-cadence-bool", "config-cadence-huge", "config-cadence-inf",
+        "config-increments-unknown-role",
         "config-truncated-json"])
 def test_bad_run_flags_are_bad_configuration(tmp_path, capsys, monkeypatch, flags):
     if callable(flags):
@@ -403,6 +406,26 @@ def test_bad_run_flags_are_bad_configuration(tmp_path, capsys, monkeypatch, flag
     assert out == ""
     assert err.startswith("error: bad configuration") and err.count("\n") == 1
     assert not list(tmp_path.glob("report-*.json"))
+
+
+@pytest.mark.parametrize("flags", [
+    # The two middle values' sum overflows a float.
+    ["--freq-hz", "3.6e307", "--repetitions", "2"],
+    # The DTLB ratio 1.8e299 / 1.8e-291 is beyond a float's range.
+    _config_file({"simulated_increments": {
+        "baseline": {"PERF_COUNT_HW_CPU_CYCLES": 10 ** 300,
+                     "DTLB-LOAD-MISSES": 1},
+        "treatment": {"PERF_COUNT_HW_CPU_CYCLES": 1,
+                      "DTLB-LOAD-MISSES": 10 ** 290}}}),
+], ids=["median-of-two-huge", "ratio-beyond-float"])
+def test_near_float_max_run_saves_a_report_render_reads(tmp_path, capsys, flags):
+    if callable(flags):
+        flags = flags(tmp_path)
+    out = tmp_path / "out"
+    assert main(["run", "--simulate-counters", "--workload", "zone-sweep",
+                 "--layout", "1,2,2,2,2", "--out", str(out), *flags]) == 0
+    [path] = out.glob("report-*.json")
+    assert main(["render", "--report", str(path), "--format", "csv"]) == 0
 
 
 def test_papi_events_without_cycles_is_bad_configuration(monkeypatch):

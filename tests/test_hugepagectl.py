@@ -28,16 +28,16 @@ TRACKED_KEYS = ["AnonHugePages", "ShmemHugePages", "HugePages_Total",
 
 def test_parse_constructed_document():
     snap = parse_meminfo(meminfo_text(total=6, surp=6, hugetlb_kb=12288))
-    assert snap.hp_total == 6
-    assert snap.hugetlb_kb == 12288
-    assert snap.anon_huge_kb == 0
-    assert snap.hugepagesize_kb == 2048
+    assert snap == {"anon_huge_kb": 0, "shmem_huge_kb": 0, "hugetlb_kb": 12288,
+                    "hugepagesize_kb": 2048, "hp_total": 6, "hp_free": 0,
+                    "hp_rsvd": 0, "hp_surp": 6}
 
 
 def test_parse_all_zero_document():
     snap = parse_meminfo(meminfo_text(pagesize_kb=2048))
-    assert (snap.anon_huge_kb, snap.shmem_huge_kb, snap.hugetlb_kb,
-            snap.hp_total, snap.hp_free, snap.hp_rsvd, snap.hp_surp) == (0,) * 7
+    assert snap == {"anon_huge_kb": 0, "shmem_huge_kb": 0, "hugetlb_kb": 0,
+                    "hugepagesize_kb": 2048, "hp_total": 0, "hp_free": 0,
+                    "hp_rsvd": 0, "hp_surp": 0}
 
 
 def test_missing_tracked_field():
@@ -63,7 +63,7 @@ def test_malformed_tracked_line_reports_line_number():
 def test_untracked_garbage_ignored():
     doc = meminfo_text() + "NotAField: banana\nDirectMap4k: x y z\n"
     snap = parse_meminfo(doc)
-    assert snap.hp_total == 0
+    assert snap["hp_total"] == 0
 
 
 @given(st.permutations(TRACKED_KEYS))
@@ -71,8 +71,8 @@ def test_parse_total_over_permuted_documents(order):
     doc = meminfo_text(anon_kb=2048, total=6, free=2, surp=6, hugetlb_kb=12288,
                        order=list(order), tracked_only=True)
     snap = parse_meminfo(doc)
-    assert (snap.anon_huge_kb, snap.hp_total, snap.hp_free, snap.hugetlb_kb) \
-        == (2048, 6, 2, 12288)
+    assert (snap["anon_huge_kb"], snap["hp_total"], snap["hp_free"],
+            snap["hugetlb_kb"]) == (2048, 6, 2, 12288)
 
 
 def test_snapshot_invariant_free_within_pool():
@@ -199,14 +199,50 @@ def test_detect_indeterminate_on_pool_growth_without_evidence():
     assert verdict.state == "indeterminate"
 
 
+# meminfo_text's keyword for each sample key, in the verdict's field order:
+# the four evidence fields, then the four pool fields.
+VERDICT_FIELDS = {"anon_huge_kb": "anon_kb", "shmem_huge_kb": "shmem_kb",
+                  "hugetlb_kb": "hugetlb_kb", "hp_total": "total",
+                  "hp_free": "free", "hp_rsvd": "rsvd", "hp_surp": "surp",
+                  "hugepagesize_kb": "pagesize_kb"}
+
+# Values in 0..2, so fields tie, rise and fall often; free stays within
+# the pool, as parse_meminfo requires.
+counts = st.fixed_dictionaries(
+    {kw: st.integers(0, 2) for kw in VERDICT_FIELDS.values()}).map(
+        lambda kw: {**kw, "free": min(kw["free"], kw["total"] + kw["surp"])})
+
+
+def _rule(before: dict, during: list[dict]) -> UsageVerdict:
+    """The verdict rule, written out over meminfo_text keywords."""
+    names = list(VERDICT_FIELDS)
+    deltas = {name: [d[kw] - before[kw] for d in during]
+              for name, kw in VERDICT_FIELDS.items()}
+    evidence = tuple((name, max(deltas[name])) for name in names[:4]
+                     if any(d > 0 for d in deltas[name]))
+    if evidence:
+        return UsageVerdict("active", evidence)
+    for name in names:
+        went_up = any(d > 0 for d in deltas[name])
+        went_down = any(d < 0 for d in deltas[name])
+        if went_up and went_down:
+            return UsageVerdict("indeterminate", reason=f"{name} non-monotone")
+        if went_up:
+            return UsageVerdict(
+                "indeterminate",
+                reason=f"{name} increased without huge-page evidence")
+    return UsageVerdict("inactive")
+
+
+@given(before=counts, during=st.lists(counts, min_size=1, max_size=4))
+def test_detect_follows_the_verdict_rule(before, during):
+    verdict = detect_usage(_snap(**before), [_snap(**d) for d in during])
+    assert verdict == _rule(before, during)
+
+
 def test_detect_requires_snapshots():
     with pytest.raises(ValueError):
         detect_usage(_snap(), [])
-
-
-def test_active_verdict_requires_positive_delta():
-    with pytest.raises(ValueError):
-        UsageVerdict.active([("hugetlb_kb", 0)])
 
 
 def test_fixture_fs_replays_sequences():
@@ -214,8 +250,8 @@ def test_fixture_fs_replays_sequences():
     first = parse_meminfo(fs.read_text(MEMINFO_PATH))
     second = parse_meminfo(fs.read_text(MEMINFO_PATH))
     third = parse_meminfo(fs.read_text(MEMINFO_PATH))  # sticky
-    assert first.hp_total == 0
-    assert second.hp_total == 6 == third.hp_total
+    assert first["hp_total"] == 0
+    assert second["hp_total"] == 6 == third["hp_total"]
     with pytest.raises(FileNotFoundError):
         fs.read_text("/nonexistent")
 
@@ -227,7 +263,7 @@ def test_monitor_samples_in_the_order_they_are_taken():
     monitor = MeminfoMonitor(fs)
     before = monitor.poll_once()
     during = [monitor.sample(), monitor.sample()]
-    assert [snap.anon_huge_kb for snap in during] == [4096, 8192]
+    assert [snap["anon_huge_kb"] for snap in during] == [4096, 8192]
     assert (monitor.samples, monitor.dropped) == (2, 0)
     verdict = detect_usage(before, during)
     assert verdict.state == "active"
@@ -243,4 +279,4 @@ def test_monitor_counts_unreadable_samples():
     assert monitor.dropped == 1
     assert monitor.samples == 3
     during = [snap for snap in snaps if snap is not None]
-    assert during and all(snap.anon_huge_kb == 4096 for snap in during)
+    assert during and all(snap["anon_huge_kb"] == 4096 for snap in during)

@@ -157,6 +157,14 @@ def test_zero_denominator_is_marked_not_nan():
     assert _rows_by_label(rows)[LABEL_SVE].ratio is None
 
 
+def test_ratio_beyond_a_float_is_marked_not_infinite():
+    big = DerivedMetrics(1.0, 1.0, 1.0, 2e9, 1e299)
+    small = DerivedMetrics(1.0, 1.0, 1.0, 1e9, 1e-291)
+    rows = _rows_by_label(ratios(big, small))
+    assert rows[LABEL_DTLB].ratio is None
+    assert rows[LABEL_BANDWIDTH].ratio == 2.0
+
+
 @given(st.integers(min_value=1, max_value=10 ** 6),
        st.integers(min_value=1, max_value=10 ** 6))
 def test_scale_covariance(k, base):

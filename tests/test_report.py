@@ -120,6 +120,17 @@ def test_repetitions_aggregate_by_median(monkeypatch):
         assert region["metrics"]["hw_cycles"] == BASE_INC[EventId.CpuCycles]
 
 
+def test_median_of_two_huge_measures_is_finite():
+    def reps(*values):
+        return [DerivedMetrics(v, v, None, v, v) for v in values]
+
+    median = report_module._median_metrics(reps(1.7e308, 1.5e308))
+    assert median == DerivedMetrics(1.6e308, 1.6e308, None, 1.6e308, 1.6e308)
+    # Where a + b is finite, the median is statistics.median's.
+    assert report_module._median_metrics(reps(0.1, 0.2)).seconds == (0.1 + 0.2) / 2
+    assert report_module._median_metrics(reps(3.0, 1e308, 2.0)).seconds == 3.0
+
+
 def test_treatment_meminfo_evidence_yields_active_verdict():
     # Replay: baseline sees zeros twice, treatment sees hugetlb grow.
     fs = FixtureFs({MEMINFO_PATH: [
@@ -412,7 +423,7 @@ def test_render_table_reference_cells(eos_case):
 def test_render_table_unavailable_measure():
     metrics = DerivedMetrics(1e9, 1e9 / 1.8e9, None, None, None)
     run = run_dict(HugePageMode.Off, "r", [{EventId.CpuCycles: 10 ** 9}], metrics,
-                   UsageVerdict.inactive(), 1.0)
+                   UsageVerdict("inactive"), 1.0)
     report = {"label": "sparse", "config": {}, "provenance": {"config_hash": "x"},
               "runs": {"baseline": run, "treatment": run}, "ratios": {},
               "warnings": []}
@@ -425,7 +436,7 @@ def test_render_table_unavailable_measure():
 def test_render_table_labels_an_unnamed_region():
     metrics = DerivedMetrics(1e9, 1e9 / 1.8e9, None, None, None)
     run = run_dict(HugePageMode.Off, "", [{EventId.CpuCycles: 10 ** 9}], metrics,
-                   UsageVerdict.inactive(), 1.0)
+                   UsageVerdict("inactive"), 1.0)
     report = {"runs": {"baseline": run, "treatment": run}}
     assert render_table(report).splitlines()[0] == "Region: (unnamed region)"
 
