@@ -130,7 +130,7 @@ def _build_run_config(args):
     flag that was given, built in one step; a bad flag value or config file
     raises ValueError "bad configuration: ..."."""
     from . import report
-    from .counterhub import default_events
+    from .counterhub import default_events, parse_event_names
 
     d = {"backend": "real",
          "events": sorted(ev.value for ev in default_events()),
@@ -156,7 +156,8 @@ def _build_run_config(args):
         d.update(_given(
             baseline=args.mode_a, treatment=args.mode_b,
             repetitions=args.repetitions, label=args.label,
-            events=None if args.events is None else args.events.split(","),
+            events=(None if args.events is None else
+                    [ev.value for ev in parse_event_names(args.events)]),
             backend="simulated" if args.simulate_counters else None))
         return report.ExperimentConfig.from_dict(d)
     except json.JSONDecodeError as exc:

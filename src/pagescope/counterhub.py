@@ -15,6 +15,7 @@ import enum
 import os
 import platform
 import struct
+import time
 
 
 class UnknownEventName(ValueError):
@@ -197,6 +198,8 @@ class RealOsBackend:
     on a given core or kernel, so probe() reports per-event state instead of
     assuming the full working set exists everywhere.
     """
+
+    now_ns = staticmethod(time.perf_counter_ns)  # a monotonic clock
 
     def __init__(self):
         self._fds: dict[EventId, int] = {}

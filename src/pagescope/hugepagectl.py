@@ -8,8 +8,8 @@ root or even Linux. Nothing here writes a host setting: huge pages are
 chosen per command by its launch plan. Launch plans render the three
 enablement mechanisms (hugectl wrapper, libhugetlbfs preload, the Fujitsu
 runtime env var) as exact env/argv fragments; usage verification compares
-meminfo samples taken before and during a run. A sample is a dict keyed by
-the eight field names in _TRACKED (anon_huge_kb and the rest).
+a meminfo sample (a dict keyed by the field names in _TRACKED) taken before
+a run with each field's peak and trough over the samples taken during it.
 """
 
 from __future__ import annotations
@@ -224,7 +224,7 @@ class UsageVerdict:
     reason: str | None = None
 
 
-def detect_usage(before: dict[str, int],
+def detect_usage(before: dict[str, int] | None,
                  during: list[dict[str, int]]) -> UsageVerdict:
     """Judge whether huge pages were in use from meminfo movement.
 
@@ -232,10 +232,13 @@ def detect_usage(before: dict[str, int],
     (AnonHugePages, ShmemHugePages, Hugetlb, HugePages_Total).
     Inactive: nothing moved upward at all.
     Indeterminate: pool counters moved without evidence, or moved both ways
-    (another tenant churning the pool).
+    (another tenant churning the pool), or before is None or during empty.
     """
+    if before is None:
+        return UsageVerdict("indeterminate", reason="meminfo unavailable")
     if not during:
-        raise ValueError("need at least one during-run sample")
+        return UsageVerdict("indeterminate",
+                            reason="no meminfo sample during the run")
 
     evidence = tuple((name, peak) for name in EVIDENCE_FIELDS
                      if (peak := max(s[name] for s in during) - before[name]) > 0)
@@ -258,6 +261,8 @@ def detect_usage(before: dict[str, int],
 
 class MeminfoMonitor:
     """Reads meminfo samples on the caller's thread and counts the reads.
+    It keeps the first sample as `before` and folds each later one into
+    `during`: [each field's peak, each field's trough], or [] before any.
 
     The caller takes each sample itself, at the points of its run it
     chooses (report._run_one_mode names them), so nothing runs beside the
@@ -268,17 +273,28 @@ class MeminfoMonitor:
         self.fs = fs
         self.samples = 0  # reads attempted through sample()
         self.dropped = 0  # of those, reads that failed
+        self.before: dict[str, int] | None = None
+        self.during: list[dict[str, int]] = []
 
     def poll_once(self) -> dict[str, int]:
         return parse_meminfo(self.fs.read_text(MEMINFO_PATH))
 
-    def sample(self) -> dict[str, int] | None:
-        """One poll, or None when meminfo cannot be read or parsed; a
-        failed read is counted in `dropped` instead of raising, so one bad
-        read neither ends the run nor goes unreported."""
+    def sample(self) -> None:
+        """One poll, folded into `before` or `during`; a failed read is
+        counted in `dropped` instead of raising, so one bad read neither
+        ends the run nor goes unreported. Once the first has failed, no
+        more are taken or counted: without a baseline they show nothing."""
+        if self.samples and self.before is None:
+            return
         self.samples += 1
         try:
-            return self.poll_once()
+            snap = self.poll_once()
         except (OSError, ValueError):
             self.dropped += 1
-            return None
+            return
+        if self.before is None:
+            self.before = snap
+        else:
+            peaks, troughs = self.during or (snap, snap)
+            self.during = [{name: max(v, snap[name]) for name, v in peaks.items()},
+                           {name: min(v, snap[name]) for name, v in troughs.items()}]

@@ -23,10 +23,6 @@ class ZeroCycles(ValueError):
     """Cycle count of zero: no rates can be derived."""
 
 
-class NegativeInterval(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class CpuSpec:
     freq_hz: float = 1.8e9
@@ -90,13 +86,6 @@ def derive(totals: dict[EventId, int], cpu: CpuSpec) -> DerivedMetrics:
                                       cpu.line_bytes),
         dtlb_misses_per_s=measure("dtlb_misses_per_s", dtlb, seconds),
     )
-
-
-def elapsed_timer(start_s: float, stop_s: float) -> float:
-    """Wall-clock interval from a start/stop pair, in seconds."""
-    if stop_s < start_s:
-        raise NegativeInterval(f"stop {stop_s} precedes start {start_s}")
-    return stop_s - start_s
 
 
 # Table row labels, in row order. Values are stored in display units

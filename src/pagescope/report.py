@@ -15,7 +15,6 @@ import math
 import os
 import platform
 import shutil
-import statistics
 import sys
 import threading
 import time
@@ -30,7 +29,6 @@ from .counterhub import (
     RealOsBackend,
     SimulatedBackend,
     open_session,
-    parse_event_names,
 )
 from .hugepagectl import (
     BOOT_PARAM_CHECKLIST,
@@ -48,7 +46,7 @@ from .hugepagectl import (
     plan_launch,
 )
 from .metrics import (MEASURE_LABELS, CpuSpec, DerivedMetrics, RatioRow, derive,
-                      elapsed_timer, metrics_cells, ratios)
+                      metrics_cells, ratios)
 
 # hashlib loads OpenSSL's libcrypto, megabytes of resident memory, into a
 # process whose memory is what it measures; the interpreter's own SHA-256
@@ -231,8 +229,7 @@ class ExperimentConfig:
             given = {**d, "workload": WorkloadSpec.from_dict(d["workload"])}
             if "events" in d:  # an empty list means every event
                 names = _string_list(d["events"], "events")
-                given["events"] = (parse_event_names(",".join(names)) if names
-                                   else ALL_EVENTS)
+                given["events"] = frozenset(map(EventId, names)) or ALL_EVENTS
             if "simulated_increments" in d:
                 given["simulated_increments"] = {
                     role: {EventId(name): v for name, v in table.items()}
@@ -254,18 +251,20 @@ class ExperimentConfig:
         return _sha256(canon).hexdigest()[:12]
 
 
-def _median_metrics(per_rep: list[DerivedMetrics]) -> DerivedMetrics:
-    """Each measure's median over the repetitions that have it: the mean
-    of the middle pair (one value twice for an odd count), taken as
+def _median(values):
+    """The median of the values that are not None, or None: the mean of
+    the middle pair (one value twice for an odd count), taken as
     a / 2 + b / 2 where a + b overflows."""
-    def med(values):
-        present = sorted(v for v in values if v is not None)
-        if not present:
-            return None
-        a, b = present[(len(present) - 1) // 2], present[len(present) // 2]
-        return (a + b) / 2 if math.isfinite(a + b) else a / 2 + b / 2
+    present = sorted(v for v in values if v is not None)
+    if not present:
+        return None
+    a, b = present[(len(present) - 1) // 2], present[len(present) // 2]
+    return (a + b) / 2 if math.isfinite(a + b) else a / 2 + b / 2
 
-    return DerivedMetrics(*(med(values) for values in zip(*map(astuple, per_rep))))
+
+def _median_metrics(per_rep: list[DerivedMetrics]) -> DerivedMetrics:
+    """Each measure's median over the repetitions that have it."""
+    return DerivedMetrics(*map(_median, zip(*map(astuple, per_rep))))
 
 
 def _make_backend(config: ExperimentConfig, role: str):
@@ -304,43 +303,28 @@ def _run_one_mode(config: ExperimentConfig, role: str,
     """The role's run dict, and the monitor that counted its meminfo samples."""
     mode = config.baseline if role == "baseline" else config.treatment
     backend = _make_backend(config, role)
-    simulated = config.backend == "simulated"
 
     def now_s() -> float:
-        return backend.now_ns() / 1e9 if simulated else time.perf_counter()
+        return backend.now_ns() / 1e9
 
     monitor = MeminfoMonitor(fs)
-    before = monitor.sample()
-    during = []
-
-    def sample() -> None:
-        if before is not None:  # without a baseline, a later sample shows nothing
-            during.append(monitor.sample())
-
+    monitor.sample()  # the baseline every later sample is judged against
     rep_totals: list[dict[EventId, int]] = []
     rep_elapsed: list[float] = []
     # One session per role; each repetition reads it twice.
     with open_session(backend, config.events) as session:
         for _ in range(config.repetitions):
             totals, elapsed, checksum = _run_rep(
-                config.workload, mode, session, now_s, sample,
+                config.workload, mode, session, now_s, monitor.sample,
                 config.monitor_cadence_s)
             rep_totals.append(totals)
             rep_elapsed.append(elapsed)
 
-    during = [snap for snap in during if snap is not None]
-    if before is None:
-        verdict = UsageVerdict("indeterminate", reason="meminfo unavailable")
-    elif not during:
-        verdict = UsageVerdict("indeterminate",
-                               reason="no meminfo sample during the run")
-    else:
-        verdict = detect_usage(before, during)
-
     # A run records one region, named by its workload.
     run = run_dict(mode, config.workload.region_name, rep_totals,
                    _median_metrics([derive(t, config.cpu) for t in rep_totals]),
-                   verdict, statistics.median(rep_elapsed), checksum)
+                   detect_usage(monitor.before, monitor.during),
+                   _median(rep_elapsed), checksum)
     return run, monitor
 
 
@@ -377,6 +361,9 @@ def _run_rep(workload, mode, session: CounterSession, now_s, sample, cadence_s):
             # Shell convention for command-not-found; usually the mode's
             # wrapper tool is missing, which doctor() flags in advance.
             raise WorkloadFailed(mode, 127) from exc
+        except PermissionError as exc:
+            # The shell's code for a command found but not executable.
+            raise WorkloadFailed(mode, 126) from exc
         with proc:
             try:
                 pidfd = os.pidfd_open(proc.pid)
@@ -400,7 +387,7 @@ def _run_rep(workload, mode, session: CounterSession, now_s, sample, cadence_s):
     if returncode:
         raise WorkloadFailed(mode, returncode)
     totals = {ev: end[ev] - begin[ev] for ev in session.events}
-    return totals, elapsed_timer(t0, t1), checksum
+    return totals, t1 - t0, checksum
 
 
 def run_experiment(config: ExperimentConfig, fs=None,

@@ -11,7 +11,7 @@ import pytest
 import pagescope
 from pagescope import blockmesh, hugepagectl, tlbsim
 from pagescope.cli import _build_run_config, build_parser, main
-from pagescope.counterhub import ALL_EVENTS, RealOsBackend
+from pagescope.counterhub import ALL_EVENTS, EventId, RealOsBackend
 from pagescope.hugepagectl import THP_ENABLED_PATH
 
 
@@ -87,6 +87,18 @@ def test_run_external_failure_exits_2(tmp_path, capsys):
                "sh", "-c", "exit 9"])
     assert rc == 2
     assert "status 9" in capsys.readouterr().err
+
+
+def test_run_of_a_command_that_cannot_be_executed_exits_2(tmp_path, capsys):
+    script = tmp_path / "noexec.sh"
+    script.write_text("#!/bin/sh\n")
+    script.chmod(0o644)
+    rc = main(["run", "--simulate-counters", "--out", str(tmp_path / "out"), "--",
+               str(script)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error: workload under mode 'off' exited with status 126\n" in err
+    assert len(list((tmp_path / "out").glob("report-*.json"))) == 1
 
 
 def test_run_external_failure_shows_the_commands_stderr(capfd):
@@ -352,6 +364,8 @@ def _truncated_config(tmp_path):
     ["--n", "8", "--layout", "1,4,4,1,1"],
     ["--events", "DTLB-LOAD-MISSES"],
     _config_file({"events": "PERF_COUNT_HW_CPU_CYCLES"}),
+    _config_file({"events": ["PERF_COUNT_HW_CPU_CYCLES,DTLB-LOAD-MISSES"]}),
+    _config_file({"events": ["PERF_COUNT_HW_CPU_CYCLES", ""]}),
     _config_file(_increments(-5)),
     _config_file(_increments(1.9)),
     _config_file(_increments(True)),
@@ -385,6 +399,7 @@ def _truncated_config(tmp_path):
         "config-fill-bool", "config-fill-nan", "config-fill-huge-int",
         "config-alloc-unknown", "config-elem-bytes-4", "n-with-layout",
         "events-without-cycles", "config-events-string",
+        "config-events-joined", "config-events-empty-name",
         "config-increment-negative", "config-increment-float",
         "config-increment-bool", "config-cycles-increment-zero",
         "config-cycles-increment-missing", "config-line-bytes-float",
@@ -440,6 +455,13 @@ def test_config_file_events_string_is_named_not_split(tmp_path):
     with pytest.raises(ValueError, match="^bad configuration: events "
                        "'PERF_COUNT_HW_CPU_CYCLES' is not a list of strings$"):
         _build_run_config(build_parser().parse_args(["run", *flags]))
+
+
+def test_events_flag_is_split_on_commas():
+    args = build_parser().parse_args(
+        ["run", "--events", "PERF_COUNT_HW_CPU_CYCLES, DTLB-LOAD-MISSES"])
+    assert _build_run_config(args).events == {EventId.CpuCycles,
+                                              EventId.DtlbLoadMisses}
 
 
 def test_run_backend_is_real_unless_simulate_counters(tmp_path, capsys, monkeypatch):
@@ -669,7 +691,8 @@ def test_builtin_run_loads_neither_openssl_nor_subprocess(tmp_path):
     code = ("import sys; from pagescope.cli import main; "
             "code = main(['run', '--simulate-counters', '--workload', 'sum2d', "
             "'--n', '8', '--out', sys.argv[1]]); "
-            "print(code, sorted({'_hashlib', 'subprocess'} & set(sys.modules)))")
+            "print(code, sorted({'_hashlib', 'subprocess', 'statistics', "
+            "'fractions', 'decimal'} & set(sys.modules)))")
     returncode, out, err = _fresh(code, str(tmp_path))
     assert returncode == 0, err
     assert out.splitlines()[-1] == "0 []"

@@ -241,8 +241,33 @@ def test_detect_follows_the_verdict_rule(before, during):
 
 
 def test_detect_requires_snapshots():
-    with pytest.raises(ValueError):
-        detect_usage(_snap(), [])
+    assert detect_usage(None, []) == UsageVerdict(
+        "indeterminate", reason="meminfo unavailable")
+    assert detect_usage(_snap(), []) == UsageVerdict(
+        "indeterminate", reason="no meminfo sample during the run")
+
+
+# A sample's meminfo_text keywords, or None for a document that cannot be parsed.
+MALFORMED = "AnonHugePages: x kB\n"
+documents = st.lists(st.one_of(st.none(), counts), min_size=1, max_size=6)
+
+
+@given(docs=documents)
+def test_monitor_folds_samples_into_the_verdict_of_them_all(docs):
+    fs = FixtureFs({MEMINFO_PATH: [MALFORMED if d is None else meminfo_text(**d)
+                                   for d in docs]})
+    monitor = MeminfoMonitor(fs)
+    for _ in docs:
+        monitor.sample()
+    first, later = docs[0], [d for d in docs[1:] if d is not None]
+    if first is None:  # without a baseline no later sample is taken
+        expected = UsageVerdict("indeterminate", reason="meminfo unavailable")
+        assert (monitor.samples, monitor.dropped) == (1, 1)
+    else:
+        expected = (_rule(first, later) if later else UsageVerdict(
+            "indeterminate", reason="no meminfo sample during the run"))
+        assert (monitor.samples, monitor.dropped) == (len(docs), docs.count(None))
+    assert detect_usage(monitor.before, monitor.during) == expected
 
 
 def test_fixture_fs_replays_sequences():
@@ -261,22 +286,28 @@ def test_monitor_samples_in_the_order_they_are_taken():
                                    meminfo_text(anon_kb=4096),
                                    meminfo_text(anon_kb=8192)]})
     monitor = MeminfoMonitor(fs)
-    before = monitor.poll_once()
-    during = [monitor.sample(), monitor.sample()]
-    assert [snap["anon_huge_kb"] for snap in during] == [4096, 8192]
-    assert (monitor.samples, monitor.dropped) == (2, 0)
-    verdict = detect_usage(before, during)
+    for _ in range(3):
+        monitor.sample()
+    assert monitor.before["anon_huge_kb"] == 0
+    peaks, troughs = monitor.during
+    assert (peaks["anon_huge_kb"], troughs["anon_huge_kb"]) == (8192, 4096)
+    assert (monitor.samples, monitor.dropped) == (3, 0)
+    verdict = detect_usage(monitor.before, monitor.during)
     assert verdict.state == "active"
     assert verdict.evidence == (("anon_huge_kb", 8192),)
 
 
 def test_monitor_counts_unreadable_samples():
-    fs = FixtureFs({MEMINFO_PATH: ["AnonHugePages: x kB\n",
+    fs = FixtureFs({MEMINFO_PATH: [meminfo_text(), MALFORMED,
                                    meminfo_text(anon_kb=4096)]})
     monitor = MeminfoMonitor(fs)
-    snaps = [monitor.sample() for _ in range(3)]
-    assert snaps[0] is None
-    assert monitor.dropped == 1
-    assert monitor.samples == 3
-    during = [snap for snap in snaps if snap is not None]
-    assert during and all(snap["anon_huge_kb"] == 4096 for snap in during)
+    for _ in range(3):
+        monitor.sample()
+    assert (monitor.samples, monitor.dropped) == (3, 1)
+    assert [d["anon_huge_kb"] for d in monitor.during] == [4096, 4096]
+    # Once the first sample fails, later ones are neither taken nor counted.
+    monitor = MeminfoMonitor(FixtureFs({MEMINFO_PATH: [MALFORMED, meminfo_text()]}))
+    for _ in range(3):
+        monitor.sample()
+    assert (monitor.samples, monitor.dropped) == (1, 1)
+    assert (monitor.before, monitor.during) == (None, [])

@@ -13,10 +13,8 @@ from pagescope.metrics import (
     LABEL_TIMER,
     CpuSpec,
     DerivedMetrics,
-    NegativeInterval,
     ZeroCycles,
     derive,
-    elapsed_timer,
     format_cell,
     metrics_cells,
     ratios,
@@ -85,13 +83,6 @@ def test_zero_cycles_rejected():
 def test_measure_beyond_a_float_is_rejected_by_name(cpu, totals, measure):
     with pytest.raises(ValueError, match=f"^derived {measure} "):
         derive(totals, cpu)
-
-
-def test_elapsed_timer():
-    assert elapsed_timer(0.0, 339.032) == 339.032
-    assert elapsed_timer(5.0, 5.0) == 0.0
-    with pytest.raises(NegativeInterval):
-        elapsed_timer(5.0, 3.0)
 
 
 def test_cpuspec_validation():

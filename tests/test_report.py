@@ -19,6 +19,7 @@ from pagescope.hugepagectl import (
     THP_ENABLED_PATH,
     FixtureFs,
     HugePageMode,
+    MeminfoMonitor,
     ThpMode,
     UsageVerdict,
 )
@@ -221,6 +222,18 @@ def test_command_exit_ends_the_wait_at_once():
                               time.perf_counter, lambda: None, 1.0)[1]
                      for _ in range(3))
     assert elapsed[1] < 0.3 + 0.008, elapsed
+
+
+def test_a_fast_cadence_keeps_two_dicts_of_samples():
+    # At a 1 us cadence a 0.3 s command is sampled hundreds of times; the
+    # monitor keeps each field's peak and trough, not every sample.
+    monitor = MeminfoMonitor(zero_fs())
+    monitor.sample()
+    session = open_session(SimulatedBackend(BASE_INC), ALL_EVENTS)
+    _run_rep(WorkloadSpec(kind="external", argv=("sleep", "0.3")), HugePageMode.Off,
+             session, time.perf_counter, monitor.sample, 1e-6)
+    assert monitor.samples > 100
+    assert len(monitor.during) == 2
 
 
 def test_missing_wrapper_tool_maps_to_workload_failure():
