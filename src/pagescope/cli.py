@@ -3,9 +3,9 @@
 Exit codes: 0 success, 2 workload failure, 3 capability or input failure
 (a bad flag, a missing or malformed config, trace, sidecar or report file,
 or a layout too large to allocate). Only `main` turns an exception into an
-`error: ...` line and a code. No command writes a host setting: `thp` and
-`doctor` only read them, and `run` chooses huge pages per command through
-its launch plan.
+`error: ...` line and a code. No command writes a host setting: `doctor`
+only reads them (the THP mode among them), and `run` chooses huge pages per
+command through its launch plan.
 
 Each process runs one command, so the module loads only what the parser
 and the replay commands need: `blockmesh`, `tlbsim` and `hugepagectl`.
@@ -108,8 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
     ren.add_argument("--format", default="table",
                      choices=["table", "csv", "svg"])
     ren.add_argument("--out", default=None)
-
-    sub.add_parser("thp", help="show the host's THP mode (read-only)")
     return p
 
 
@@ -248,12 +246,6 @@ def _cmd_render(args) -> int:
     return EXIT_OK
 
 
-def _cmd_thp(_args) -> int:
-    fs = hugepagectl.RealFs()
-    print(hugepagectl.parse_thp(fs.read_text(hugepagectl.THP_ENABLED_PATH)).value)
-    return EXIT_OK
-
-
 def main(argv: list[str] | None = None) -> int:
     """Run one command; the only place an error, a bad command line
     included, becomes an exit code."""
@@ -265,7 +257,6 @@ def main(argv: list[str] | None = None) -> int:
             "trace": _cmd_trace,
             "doctor": _cmd_doctor,
             "render": _cmd_render,
-            "thp": _cmd_thp,
         }[args.cmd](args)
     except (blockmesh.AllocationFailure, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

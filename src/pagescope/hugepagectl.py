@@ -7,9 +7,10 @@ abstraction so the whole module is testable from canned fixtures without
 root or even Linux. Nothing here writes a host setting: huge pages are
 chosen per command by its launch plan. Launch plans render the three
 enablement mechanisms (hugectl wrapper, libhugetlbfs preload, the Fujitsu
-runtime env var) as exact env/argv fragments; usage verification compares
-a meminfo sample (a dict keyed by the field names in _TRACKED) taken before
-a run with each field's peak and trough over the samples taken during it.
+runtime env var) as exact env/argv fragments, and each records whether its
+mode asks for huge pages at all; usage verification compares a meminfo
+sample (a dict keyed by the field names in _TRACKED) taken before a run
+with each field's peak and trough over the samples taken during it.
 """
 
 from __future__ import annotations
@@ -191,26 +192,29 @@ class HugePageMode(enum.Enum):
 
 @dataclass(frozen=True)
 class LaunchPlan:
+    huge: bool  # whether the mode asks for huge pages
     env: dict[str, str] = field(default_factory=dict)
     wrapper_argv: tuple[str, ...] = ()
 
 
 def plan_launch(mode: HugePageMode) -> LaunchPlan:
     """Env/wrapper recipe for running a workload under one huge-page mode:
-    hugectl (THP), a libhugetlbfs preload, or the Fujitsu runtime's env."""
-    if mode is HugePageMode.Off:
-        return LaunchPlan()
-    if mode is HugePageMode.Transparent:
-        return LaunchPlan(wrapper_argv=("hugectl", "--shm", "--thp"))
-    if mode is HugePageMode.PreloadHugetlbfs:
-        return LaunchPlan(env={"LD_PRELOAD": "libhugetlbfs.so",
-                               "HUGETLB_MORECORE": "yes"})
-    hpage_type = {
-        HugePageMode.FujitsuHugetlbfs: "hugetlbfs",
-        HugePageMode.FujitsuThp: "thp",
-        HugePageMode.FujitsuNone: "none",
+    hugectl (THP), a libhugetlbfs preload, or the Fujitsu runtime's env.
+    The table is built per call, so no caller shares a plan's env."""
+    return {
+        HugePageMode.Off: LaunchPlan(huge=False),
+        HugePageMode.Transparent: LaunchPlan(
+            huge=True, wrapper_argv=("hugectl", "--shm", "--thp")),
+        HugePageMode.PreloadHugetlbfs: LaunchPlan(
+            huge=True, env={"LD_PRELOAD": "libhugetlbfs.so",
+                            "HUGETLB_MORECORE": "yes"}),
+        HugePageMode.FujitsuHugetlbfs: LaunchPlan(
+            huge=True, env={"XOS_MMM_L_HPAGE_TYPE": "hugetlbfs"}),
+        HugePageMode.FujitsuThp: LaunchPlan(
+            huge=True, env={"XOS_MMM_L_HPAGE_TYPE": "thp"}),
+        HugePageMode.FujitsuNone: LaunchPlan(
+            huge=False, env={"XOS_MMM_L_HPAGE_TYPE": "none"}),
     }[mode]
-    return LaunchPlan(env={"XOS_MMM_L_HPAGE_TYPE": hpage_type})
 
 
 # ---------------------------------------------------------------------------

@@ -428,10 +428,6 @@ def _probe_dir(out: Path) -> None:
         p.rmdir()
 
 
-def _is_hp_mode(mode: HugePageMode) -> bool:
-    return mode not in (HugePageMode.Off, HugePageMode.FujitsuNone)
-
-
 def _assemble(config: ExperimentConfig, runs: dict[str, dict],
               monitors: dict[str, MeminfoMonitor], partial: bool = False) -> dict:
     warnings = []
@@ -442,7 +438,7 @@ def _assemble(config: ExperimentConfig, runs: dict[str, dict],
                       timers=(treat["elapsed_s"], base["elapsed_s"]))
         ratio_rows[config.workload.region_name] = [asdict(row) for row in rows]
     for role, run in runs.items():
-        expect_hp = _is_hp_mode(HugePageMode(run["mode"]))
+        expect_hp = plan_launch(HugePageMode(run["mode"])).huge
         state = run["verdict"]["state"]
         if expect_hp and state != "active":
             warnings.append(f"{role} mode {run['mode']!r} shows no huge-page "

@@ -285,12 +285,6 @@ def test_unallocatable_layout_is_one_line_error(tmp_path, capsys, argv):
     assert not list(tmp_path.iterdir())
 
 
-def test_thp_without_sysfs_is_capability_failure(monkeypatch, capsys):
-    fs = hugepagectl.FixtureFs({})  # a host without the THP file
-    monkeypatch.setattr(hugepagectl, "RealFs", lambda: fs)
-    assert main(["thp"]) == 3
-
-
 def test_events_flag_limits_event_set(tmp_path, capsys):
     rc = main(["run", "--simulate-counters", "--workload", "zone-sweep",
                "--layout", "2,4,4,2,2", "--events",
@@ -622,9 +616,8 @@ def test_bad_trace_input_is_one_line_error(tmp_path, capsys, make_argv):
 @pytest.mark.parametrize("argv", [
     ["run", "--repetitions", "x"],
     [],
-    ["thp", "--set", "always"],
-    ["thp", "--allow-system-writes"],
-], ids=["repetitions-not-an-int", "no-command", "thp-set", "thp-allow-writes"])
+    ["thp"],
+], ids=["repetitions-not-an-int", "no-command", "thp-is-an-unknown-command"])
 def test_bad_command_line_is_one_line_error(capsys, argv):
     assert main(argv) == 3
     out, err = capsys.readouterr()

@@ -22,6 +22,7 @@ from pagescope.hugepagectl import (
     MeminfoMonitor,
     ThpMode,
     UsageVerdict,
+    plan_launch,
 )
 from pagescope.metrics import (LABEL_BANDWIDTH, LABEL_DTLB, LABEL_TIMER, CpuSpec,
                                DerivedMetrics, RatioRow)
@@ -58,9 +59,10 @@ TINY = UnkLayout.simple(2, 4, 4, 2, 2)
 
 
 def sim_config(base_inc, treat_inc, label="exp", repetitions=1,
-               treatment=HugePageMode.Transparent):
+               treatment=HugePageMode.Transparent, baseline=HugePageMode.Off):
     return ExperimentConfig(
         workload=WorkloadSpec(kind="zone-sweep", layout=TINY),
+        baseline=baseline,
         treatment=treatment,
         repetitions=repetitions,
         backend="simulated",
@@ -146,6 +148,42 @@ def test_treatment_meminfo_evidence_yields_active_verdict():
 def test_missing_hp_evidence_is_flagged_not_fatal():
     report = run_experiment(sim_config(BASE_INC, BASE_INC), fs=zero_fs())
     assert any("no huge-page evidence" in w for w in report["warnings"])
+
+
+@pytest.mark.parametrize("active", [True, False], ids=["active", "inactive"])
+@pytest.mark.parametrize("mode, asks_for_huge", [
+    (HugePageMode.Off, False),
+    (HugePageMode.Transparent, True),
+    (HugePageMode.PreloadHugetlbfs, True),
+    (HugePageMode.FujitsuHugetlbfs, True),
+    (HugePageMode.FujitsuThp, True),
+    (HugePageMode.FujitsuNone, False),
+], ids=lambda v: v.value if isinstance(v, HugePageMode) else None)
+def test_each_mode_warns_when_its_verdict_contradicts_it(mode, asks_for_huge, active):
+    # The baseline asks for none and sees none, so it never warns; the
+    # treatment's before-sample is bare and its one later sample shows
+    # hugetlb growth only when `active`.
+    baseline = HugePageMode.FujitsuNone if mode is HugePageMode.Off else HugePageMode.Off
+    during = meminfo_text(total=6, surp=6, hugetlb_kb=12288) if active else meminfo_text()
+    fs = FixtureFs({MEMINFO_PATH: [meminfo_text()] * 3 + [during]})
+    report = run_experiment(sim_config(BASE_INC, BASE_INC, treatment=mode,
+                                       baseline=baseline), fs=fs)
+    assert report["runs"]["treatment"]["verdict"]["state"] == (
+        "active" if active else "inactive")
+    if asks_for_huge == active:
+        expected = []
+    elif active:
+        expected = [f"treatment mode {mode.value!r} unexpectedly shows "
+                    f"huge-page evidence"]
+    else:
+        expected = [f"treatment mode {mode.value!r} shows no huge-page "
+                    f"evidence (verdict: inactive)"]
+    assert report["warnings"] == expected
+
+
+def test_only_off_and_fj_none_ask_for_no_huge_pages():
+    assert {m for m in HugePageMode if not plan_launch(m).huge} == {
+        HugePageMode.Off, HugePageMode.FujitsuNone}
 
 
 def test_external_workload_roundtrip():
