@@ -616,8 +616,9 @@ def test_bad_trace_input_is_one_line_error(tmp_path, capsys, make_argv):
 @pytest.mark.parametrize("argv", [
     ["run", "--repetitions", "x"],
     [],
-    ["thp"],
-], ids=["repetitions-not-an-int", "no-command", "thp-is-an-unknown-command"])
+    ["thp", "--set", "always"],
+    ["thp", "--allow-system-writes"],
+], ids=["repetitions-not-an-int", "no-command", "thp-set", "thp-allow-writes"])
 def test_bad_command_line_is_one_line_error(capsys, argv):
     assert main(argv) == 3
     out, err = capsys.readouterr()
