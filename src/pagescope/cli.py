@@ -123,15 +123,14 @@ def _given(**flags) -> dict:
 
 
 def _build_run_config(args):
-    """The run's `report.ExperimentConfig`: defaults (events from
-    PAPI_EVENTS, the real counter backend), then the config file, then each
-    flag that was given, built in one step; a bad flag value or config file
-    raises ValueError "bad configuration: ..."."""
+    """The run's `report.ExperimentConfig`: defaults (the real counter
+    backend), then the config file, then each flag that was given, built in
+    one step; a bad flag value or config file raises ValueError
+    "bad configuration: ..."."""
     from . import report
-    from .counterhub import default_events, parse_event_names
+    from .counterhub import parse_event_names
 
     d = {"backend": "real",
-         "events": sorted(ev.value for ev in default_events()),
          "workload": {"kind": "zone-sweep",
                       "layout": _parse_layout(DEFAULT_LAYOUT).to_dict()}}
     try:
@@ -228,7 +227,8 @@ def _cmd_render(args) -> int:
 
     reports = [report.load_report(p) for p in args.report]
     if args.format == "table":
-        text = "\n".join(report.render_table(r) for r in reports)
+        text = "\n".join(f"Report: {r.get('label', 'case')}\n{report.render_table(r)}"
+                         for r in reports)
     elif args.format == "csv":
         text = report.render_csv(*reports)
     else:

@@ -24,7 +24,7 @@ class UnknownEventName(ValueError):
 
 class EventId(enum.Enum):
     """A counter event. Its value is the platform event name, bit-exact:
-    the spelling config files, PAPI_EVENTS and report labels use."""
+    the spelling config files, `--events` and report labels use."""
 
     CpuCycles = "PERF_COUNT_HW_CPU_CYCLES"
     CacheMisses = "PERF_COUNT_HW_CACHE_MISSES"
@@ -40,8 +40,6 @@ class EventId(enum.Enum):
 
 
 ALL_EVENTS: frozenset[EventId] = frozenset(EventId)
-
-PAPI_EVENTS_ENV = "PAPI_EVENTS"
 
 
 class _EventError(RuntimeError):
@@ -64,14 +62,6 @@ class PermissionDenied(_EventError):
 
 class CounterWentBackward(RuntimeError):
     """A cumulative counter decreased between reads; treated as corruption."""
-
-
-def default_events() -> frozenset[EventId]:
-    """The six-event working set, or the PAPI_EVENTS override if set."""
-    override = os.environ.get(PAPI_EVENTS_ENV)
-    if not override:
-        return ALL_EVENTS
-    return parse_event_names(override)
 
 
 def parse_event_names(spec: str) -> frozenset[EventId]:

@@ -255,6 +255,20 @@ def test_render_csv_of_two_reports_has_one_header(tmp_path, capsys):
     assert {line.split(",")[0] for line in lines[1:]} == {"zone-sweep", "block-sweep"}
 
 
+def test_render_table_heads_each_report_with_its_label(tmp_path, capsys):
+    # Two reports of one workload: only the label line tells the blocks apart.
+    paths = []
+    for label in ("zone", "zone2"):
+        main(_sim_run_args(tmp_path / label, label=label))
+        paths += ["--report", str(next((tmp_path / label).glob("report-*.json")))]
+    capsys.readouterr()
+    assert main(["render", *paths, "--format", "table"]) == 0
+    blocks = capsys.readouterr().out.split("\n\n")
+    assert [block.splitlines()[:2] for block in blocks] == [
+        ["Report: zone", "Region: zone-sweep"],
+        ["Report: zone2", "Region: zone-sweep"]]
+
+
 @pytest.mark.parametrize("flags, measure", [
     (["--freq-hz", "1e308"], "bandwidth_bytes_per_s"),
     (["--freq-hz", "1e-320"], "seconds"),
@@ -437,11 +451,17 @@ def test_near_float_max_run_saves_a_report_render_reads(tmp_path, capsys, flags)
     assert main(["render", "--report", str(path), "--format", "csv"]) == 0
 
 
-def test_papi_events_without_cycles_is_bad_configuration(monkeypatch):
-    monkeypatch.setenv("PAPI_EVENTS", "DTLB-LOAD-MISSES")
-    with pytest.raises(ValueError, match="^bad configuration: events lack "
-                       "PERF_COUNT_HW_CPU_CYCLES"):
-        _build_run_config(build_parser().parse_args(["run", "--simulate-counters"]))
+def test_run_reads_no_events_from_the_environment(tmp_path, capsys, monkeypatch):
+    # PAPI's own variable, in PAPI's names: `run` takes its events from its
+    # flags and config file only, so it neither reads nor rejects them.
+    monkeypatch.setenv("PAPI_EVENTS", "PAPI_TOT_CYC,PAPI_TLB_DM")
+    parse = build_parser().parse_args
+    assert _build_run_config(parse(["run"])).events == ALL_EVENTS
+    flag = ["--events", "PERF_COUNT_HW_CPU_CYCLES,DTLB-LOAD-MISSES"]
+    assert _build_run_config(parse(["run", *flag])).events == {
+        EventId.CpuCycles, EventId.DtlbLoadMisses}
+    assert main(["run", "--simulate-counters", "--workload", "zone-sweep",
+                 "--layout", "1,2,2,2,2", "--out", str(tmp_path)]) == 0
 
 
 def test_config_file_events_string_is_named_not_split(tmp_path):

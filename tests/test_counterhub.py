@@ -47,18 +47,9 @@ def test_empty_event_set_rejected():
         open_session(SimulatedBackend({}), set())
 
 
-def test_papi_events_env_override(monkeypatch):
-    monkeypatch.setenv(ch.PAPI_EVENTS_ENV,
-                       "PERF_COUNT_HW_CPU_CYCLES,DTLB-LOAD-MISSES")
-    assert ch.default_events() == {EventId.CpuCycles, EventId.DtlbLoadMisses}
-    monkeypatch.delenv(ch.PAPI_EVENTS_ENV)
-    assert ch.default_events() == ALL_EVENTS
-
-
-def test_unknown_event_name_rejected(monkeypatch):
-    monkeypatch.setenv(ch.PAPI_EVENTS_ENV, "NOT_AN_EVENT")
+def test_unknown_event_name_rejected():
     with pytest.raises(UnknownEventName):
-        ch.default_events()
+        ch.parse_event_names("NOT_AN_EVENT")
 
 
 def test_region_delta_single_pair():
