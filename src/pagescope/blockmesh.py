@@ -48,10 +48,6 @@ ALLOC_STRATEGIES = ("eager", "demand")  # run_kernel's `alloc` values
 RunFamily = tuple[int, int, int, int, int]  # see _single_pass_runs
 
 
-class IndexOutOfBounds(IndexError):
-    pass
-
-
 class AllocationFailure(MemoryError):
     pass
 
@@ -297,15 +293,15 @@ def _file_chunks(trace_file: TraceFile, bounds):
 def address_of(layout: UnkLayout, v: int, i: int, j: int, k: int, b: int) -> int:
     """Byte offset of unk(v, i, j, k, b): column-major, variable fastest."""
     if not 0 <= v < layout.nvar:
-        raise IndexOutOfBounds(f"v={v} outside [0, {layout.nvar})")
+        raise IndexError(f"v={v} outside [0, {layout.nvar})")
     if not layout.i_lo <= i <= layout.i_hi:
-        raise IndexOutOfBounds(f"i={i} outside [{layout.i_lo}, {layout.i_hi}]")
+        raise IndexError(f"i={i} outside [{layout.i_lo}, {layout.i_hi}]")
     if not layout.j_lo <= j <= layout.j_hi:
-        raise IndexOutOfBounds(f"j={j} outside [{layout.j_lo}, {layout.j_hi}]")
+        raise IndexError(f"j={j} outside [{layout.j_lo}, {layout.j_hi}]")
     if not layout.k_lo <= k <= layout.k_hi:
-        raise IndexOutOfBounds(f"k={k} outside [{layout.k_lo}, {layout.k_hi}]")
+        raise IndexError(f"k={k} outside [{layout.k_lo}, {layout.k_hi}]")
     if not 0 <= b < layout.maxblocks:
-        raise IndexOutOfBounds(f"b={b} outside [0, {layout.maxblocks})")
+        raise IndexError(f"b={b} outside [0, {layout.maxblocks})")
     ii, jj, kk = i - layout.i_lo, j - layout.j_lo, k - layout.k_lo
     elem = v + layout.nvar * (ii + layout.ni * (jj + layout.nj * (kk + layout.nk * b)))
     return elem * layout.elem_bytes

@@ -262,15 +262,15 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPABILITY
     except RuntimeError as exc:
-        # Only `run` raises report's errors, and it has imported report.
-        from . import report
+        # Only `run` raises these errors, and it has imported both modules.
+        from . import counterhub, report
 
         if isinstance(exc, report.WorkloadFailed):
             print(f"error: {exc}", file=sys.stderr)
             if exc.partial is not None:
                 _show_run(exc.partial, args.out)
             return EXIT_WORKLOAD
-        if isinstance(exc, report.CounterUnavailable):
+        if isinstance(exc, counterhub.CounterUnavailable):
             print(f"error: {exc}", file=sys.stderr)
             print("hint: pass --simulate-counters for a hardware-free run",
                   file=sys.stderr)

@@ -1,25 +1,24 @@
 """Hardware-counter sessions.
 
 An event is one EventId member whose value is its platform name
-(`EventId("DTLB-LOAD-MISSES")` looks one up). A session reads a fixed set
-of cumulative event counters from a backend (the OS perf interface, or a
-deterministic simulated backend for desk-scale testing); a reading is a
-plain `dict[EventId, int]`. A caller brackets a region with two session
-reads and keeps each event's difference as that region's totals.
+(`EventId("DTLB-LOAD-MISSES")` looks one up; an unknown name raises
+ValueError). A session reads a fixed set of cumulative event counters
+from a backend (the OS perf interface, or a deterministic simulated
+backend for desk-scale testing); a reading is a plain `dict[EventId, int]`.
+A caller brackets a region with two session reads and keeps each event's
+difference as that region's totals. Counters that cannot be opened, or a
+count that runs backward, raise CounterUnavailable.
 """
 
 from __future__ import annotations
 
 import ctypes
 import enum
+import errno
 import os
 import platform
 import struct
 import time
-
-
-class UnknownEventName(ValueError):
-    pass
 
 
 class EventId(enum.Enum):
@@ -36,32 +35,15 @@ class EventId(enum.Enum):
     @classmethod
     def _missing_(cls, value):
         # EventId(name) is the one lookup by name; an unknown one says so.
-        raise UnknownEventName(f"unknown event name: {value!r}")
+        raise ValueError(f"unknown event name: {value!r}")
 
 
 ALL_EVENTS: frozenset[EventId] = frozenset(EventId)
 
 
-class _EventError(RuntimeError):
-    """A counter that cannot be opened. The message leads with the event's
-    name when one is given; `reason` is the message without it."""
-
-    def __init__(self, reason: str, event: EventId | None = None):
-        super().__init__(reason if event is None
-                         else f"{event.value}: {reason}")
-        self.reason = reason
-
-
-class UnsupportedEvent(_EventError):
-    """The backend cannot program this event (hardware or kernel limit)."""
-
-
-class PermissionDenied(_EventError):
-    """OS counter access forbidden (perf_event_paranoid, capabilities)."""
-
-
-class CounterWentBackward(RuntimeError):
-    """A cumulative counter decreased between reads; treated as corruption."""
+class CounterUnavailable(RuntimeError):
+    """Counters that cannot be opened or that read wrong; `cli.main`
+    answers it with the --simulate-counters hint."""
 
 
 def parse_event_names(spec: str) -> frozenset[EventId]:
@@ -71,7 +53,7 @@ def parse_event_names(spec: str) -> frozenset[EventId]:
         if token:
             events.add(EventId(token))
     if not events:
-        raise UnknownEventName("empty event set")
+        raise ValueError("empty event set")
     return frozenset(events)
 
 
@@ -169,8 +151,8 @@ _FLAG_EXCLUDE_HV = 1 << 6
 def _perf_event_open(attr: _PerfEventAttr) -> int:
     nr = _SYSCALL_NR.get(platform.machine())
     if nr is None or platform.system() != "Linux":
-        raise UnsupportedEvent(f"no perf_event_open on {platform.system()}/"
-                               f"{platform.machine()}")
+        raise OSError(errno.ENOSYS, f"no perf_event_open on {platform.system()}/"
+                                    f"{platform.machine()}")
     libc = ctypes.CDLL(None, use_errno=True)
     fd = libc.syscall(ctypes.c_long(nr), ctypes.byref(attr),
                       ctypes.c_int(0), ctypes.c_int(-1),
@@ -179,6 +161,13 @@ def _perf_event_open(attr: _PerfEventAttr) -> int:
         err = ctypes.get_errno()
         raise OSError(err, os.strerror(err))
     return fd
+
+
+def _reason(exc: OSError) -> str:
+    """Why an event did not open, without the event's name."""
+    if exc.errno in (errno.EACCES, errno.EPERM):
+        return f"{exc.strerror}; check kernel.perf_event_paranoid"
+    return exc.strerror
 
 
 class RealOsBackend:
@@ -202,14 +191,7 @@ class RealOsBackend:
         attr.size = ctypes.sizeof(_PerfEventAttr)
         attr.config = config
         attr.flags = _FLAG_INHERIT | _FLAG_EXCLUDE_KERNEL | _FLAG_EXCLUDE_HV
-        try:
-            return _perf_event_open(attr)
-        except OSError as exc:
-            if exc.errno in (13, 1):  # EACCES, EPERM
-                raise PermissionDenied(
-                    f"{exc.strerror}; check kernel.perf_event_paranoid",
-                    event) from exc
-            raise UnsupportedEvent(exc.strerror, event) from exc
+        return _perf_event_open(attr)
 
     @classmethod
     def probe(cls, events: frozenset[EventId] = ALL_EVENTS) -> dict[EventId, str]:
@@ -217,22 +199,26 @@ class RealOsBackend:
         result = {}
         for ev in sorted(events, key=lambda e: e.name):
             try:
-                fd = cls._open_event(ev)
-            except (UnsupportedEvent, PermissionDenied) as exc:
-                # The caller shows each reason beside its event's name.
-                result[ev] = exc.reason
-            else:
-                os.close(fd)
+                os.close(cls._open_event(ev))
                 result[ev] = "ok"
+            except OSError as exc:
+                # The caller shows each reason beside its event's name.
+                result[ev] = _reason(exc)
         return result
 
     def open(self, events: frozenset[EventId]) -> None:
-        try:
-            for ev in events:
+        """Open each event, in member-name order. If any fails, close every
+        one that opened and raise CounterUnavailable with each failure's
+        reason, so a run learns it here, before anything has run."""
+        failed = {}
+        for ev in sorted(events, key=lambda e: e.name):
+            try:
                 self._fds[ev] = self._open_event(ev)
-        except Exception:
+            except OSError as exc:
+                failed[ev.value] = _reason(exc)
+        if failed:
             self.close()
-            raise
+            raise CounterUnavailable(f"events not programmable: {failed}")
 
     def read(self, events: frozenset[EventId]) -> dict[EventId, int]:
         return {ev: struct.unpack("<Q", os.read(self._fds[ev], 8))[0]
@@ -267,7 +253,7 @@ class CounterSession:
         reading = self.backend.read(self.events)
         for ev in self.events:
             if reading[ev] < self._last[ev]:
-                raise CounterWentBackward(
+                raise CounterUnavailable(
                     f"{ev.value} decreased: {self._last[ev]} -> {reading[ev]}")
         self._last = reading
         return reading
@@ -285,14 +271,14 @@ class CounterSession:
 def open_session(backend, events: frozenset[EventId] | set[EventId]) -> CounterSession:
     """Open counters for a non-empty subset of the six events.
 
-    Raises UnsupportedEvent or PermissionDenied when the backend cannot
-    program an event.
+    Raises CounterUnavailable, naming each event and why, when the backend
+    cannot program one of them.
     """
     events = frozenset(events)
     if not events:
         raise ValueError("event set must be non-empty")
     unknown = events - ALL_EVENTS
     if unknown:
-        raise UnknownEventName(f"not EventIds: {unknown}")
+        raise ValueError(f"not EventIds: {unknown}")
     backend.open(events)
     return CounterSession(backend, events)

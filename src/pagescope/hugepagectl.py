@@ -31,22 +31,6 @@ BOOT_PARAM_CHECKLIST = (
 )
 
 
-class MissingField(ValueError):
-    def __init__(self, name: str):
-        super().__init__(f"meminfo document is missing {name!r}")
-        self.name = name
-
-
-class MalformedLine(ValueError):
-    def __init__(self, line_no: int, line: str):
-        super().__init__(f"meminfo line {line_no} is malformed: {line!r}")
-        self.line_no = line_no
-
-
-class MalformedThpState(ValueError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # Filesystem abstraction
 # ---------------------------------------------------------------------------
@@ -104,8 +88,8 @@ def parse_meminfo(text: str) -> dict[str, int]:
     """Extract the eight huge-page fields from a /proc/meminfo document,
     keyed by their names in _TRACKED.
 
-    Untracked lines are ignored; a tracked line that fails to parse raises
-    MalformedLine, and a tracked key that never appears raises MissingField.
+    Untracked lines are ignored; a tracked line that fails to parse, or a
+    tracked key that never appears, raises ValueError naming it.
     """
     found: dict[str, int] = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
@@ -119,16 +103,15 @@ def parse_meminfo(text: str) -> dict[str, int]:
         parts = rest.split()
         try:
             value = int(parts[0])
+            bad = value < 0 or has_unit and parts[1:2] not in ([], ["kB"])
         except (IndexError, ValueError):
-            raise MalformedLine(line_no, line) from None
-        if has_unit and len(parts) > 1 and parts[1] != "kB":
-            raise MalformedLine(line_no, line)
-        if value < 0:
-            raise MalformedLine(line_no, line)
+            bad = True
+        if bad:
+            raise ValueError(f"meminfo line {line_no} is malformed: {line!r}")
         found[fieldname] = value
     for key, (fieldname, _) in _TRACKED.items():
         if fieldname not in found:
-            raise MissingField(key)
+            raise ValueError(f"meminfo document is missing {key!r}")
     if found["hp_free"] > found["hp_total"] + found["hp_surp"]:
         raise ValueError("hp_free exceeds hp_total + hp_surp")
     return found
@@ -155,14 +138,14 @@ def parse_thp(text: str) -> ThpMode:
         if bracketed:
             word = tok[1:-1]
         if word in seen:
-            raise MalformedThpState(f"duplicate token {word!r} in {text!r}")
+            raise ValueError(f"duplicate token {word!r} in {text!r}")
         seen.add(word)
         if bracketed:
             if selected is not None:
-                raise MalformedThpState(f"multiple bracketed tokens in {text!r}")
+                raise ValueError(f"multiple bracketed tokens in {text!r}")
             selected = word
     if seen != {"always", "madvise", "never"} or selected is None:
-        raise MalformedThpState(f"not a THP state document: {text!r}")
+        raise ValueError(f"not a THP state document: {text!r}")
     return ThpMode(selected)
 
 

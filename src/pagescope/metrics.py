@@ -19,10 +19,6 @@ from dataclasses import dataclass
 from .counterhub import EventId
 
 
-class ZeroCycles(ValueError):
-    """Cycle count of zero: no rates can be derived."""
-
-
 @dataclass(frozen=True)
 class CpuSpec:
     freq_hz: float = 1.8e9
@@ -59,7 +55,7 @@ def derive(totals: dict[EventId, int], cpu: CpuSpec) -> DerivedMetrics:
         raise ValueError(f"counter totals have no {EventId.CpuCycles.value} count")
     cycles = totals[EventId.CpuCycles]
     if cycles == 0:
-        raise ZeroCycles("counter totals record zero cycles")
+        raise ValueError("counter totals record zero cycles")
 
     def measure(name: str, count: int | None, per: float, scale: int = 1):
         """count * scale / per, or None without a count."""

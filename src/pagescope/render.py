@@ -66,13 +66,14 @@ def metrics_table(without: dict[str, float | None], with_: dict[str, float | Non
     return "\n".join(lines) + "\n"
 
 
-def ratio_rows_csv(blocks: list[tuple[str, list[dict]]]) -> str:
+def ratio_rows_csv(blocks: list[tuple[str, str, list[dict]]]) -> str:
     """One header, then a line per ratio row dict (a stored `RatioRow`) of
-    each (region, rows) block; the measure is always quoted."""
-    lines = ["region,measure,without_hp,with_hp,ratio"]
-    for region, rows in blocks:
+    each (label, region, rows) block; the measure is always quoted."""
+    lines = ["label,region,measure,without_hp,with_hp,ratio"]
+    for label, region, rows in blocks:
         for row in rows:
             lines.append(",".join([
+                _csv_field(label),
                 _csv_field(region),
                 _quoted(row["measure"]),
                 _fmt_full(row["without_hp"]),

@@ -69,11 +69,10 @@ class WorkloadFailed(RuntimeError):
         self.partial: dict | None = None  # set by run_experiment
 
 
-class CounterUnavailable(RuntimeError):
-    pass
-
-
 EXTERNAL = "external"
+# One meminfo sample took ~61 us on a 2 vCPU Xeon guest, so sampling at
+# this floor costs under 1 % of a CPU; a shorter cadence is a busy loop.
+MIN_CADENCE_S = 0.01
 
 
 def _reject_unknown_keys(d: dict, allowed, where: str) -> None:
@@ -182,9 +181,9 @@ class ExperimentConfig:
         # select() refuses a wait longer than threading's bound.
         cadence = self.monitor_cadence_s
         if (type(cadence) not in (int, float)
-                or not 0 < cadence <= threading.TIMEOUT_MAX):
+                or not MIN_CADENCE_S <= cadence <= threading.TIMEOUT_MAX):
             raise ValueError(f"monitor_cadence_s {cadence!r} is not a number "
-                             f"in (0, {threading.TIMEOUT_MAX}]")
+                             f"in [{MIN_CADENCE_S}, {threading.TIMEOUT_MAX}]")
         if not isinstance(self.label, str):
             raise ValueError("label must be a string")
         if EventId.CpuCycles not in self.events:
@@ -267,17 +266,6 @@ def _median_metrics(per_rep: list[DerivedMetrics]) -> DerivedMetrics:
     return DerivedMetrics(*map(_median, zip(*map(astuple, per_rep))))
 
 
-def _make_backend(config: ExperimentConfig, role: str):
-    if config.backend == "simulated":
-        return SimulatedBackend(
-            config.simulated_increments.get(role, DEFAULT_SIM_INCREMENTS))
-    state = RealOsBackend.probe(config.events)
-    bad = {ev.value: msg for ev, msg in state.items() if msg != "ok"}
-    if bad:
-        raise CounterUnavailable(f"events not programmable: {bad}")
-    return RealOsBackend()
-
-
 def run_dict(mode: HugePageMode, region: str, reps: list[dict[EventId, int]],
              metrics: DerivedMetrics, verdict: UsageVerdict, elapsed_s: float,
              checksum: float | None = None) -> dict:
@@ -302,17 +290,19 @@ def _run_one_mode(config: ExperimentConfig, role: str,
                   fs) -> tuple[dict, MeminfoMonitor]:
     """The role's run dict, and the monitor that counted its meminfo samples."""
     mode = config.baseline if role == "baseline" else config.treatment
-    backend = _make_backend(config, role)
+    backend = (RealOsBackend() if config.backend == "real" else SimulatedBackend(
+        config.simulated_increments.get(role, DEFAULT_SIM_INCREMENTS)))
 
     def now_s() -> float:
         return backend.now_ns() / 1e9
 
-    monitor = MeminfoMonitor(fs)
-    monitor.sample()  # the baseline every later sample is judged against
     rep_totals: list[dict[EventId, int]] = []
     rep_elapsed: list[float] = []
-    # One session per role; each repetition reads it twice.
+    # One session per role, opened before anything runs or is sampled; each
+    # repetition reads it twice.
     with open_session(backend, config.events) as session:
+        monitor = MeminfoMonitor(fs)
+        monitor.sample()  # the baseline every later sample is judged against
         for _ in range(config.repetitions):
             totals, elapsed, checksum = _run_rep(
                 config.workload, mode, session, now_s, monitor.sample,
@@ -544,9 +534,10 @@ def render_table(report: dict) -> str:
 
 def render_csv(*reports: dict) -> str:
     """Full-precision machine-readable rows mirroring the table, under one
-    header for all the reports."""
-    return render.ratio_rows_csv([block for rep in reports
-                                  for block in rep.get("ratios", {}).items()])
+    header for all the reports; each row leads with its report's label."""
+    return render.ratio_rows_csv([(rep.get("label", "case"), region, rows)
+                                  for rep in reports
+                                  for region, rows in rep.get("ratios", {}).items()])
 
 
 def render_ratio_chart(reports: list[dict]) -> tuple[str, str]:

@@ -9,10 +9,13 @@ measures so that deriving them again reproduces those values exactly.
 
 from __future__ import annotations
 
+import os
+from collections import Counter
 from dataclasses import asdict
 
 import pytest
 
+from pagescope import counterhub
 from pagescope.counterhub import EventId
 from pagescope.hugepagectl import HugePageMode, UsageVerdict
 from pagescope.metrics import CpuSpec, derive, ratios
@@ -129,6 +132,60 @@ def meminfo_text(anon_kb=0, shmem_kb=0, total=0, free=0, rsvd=0, surp=0,
     if tracked_only:
         return body
     return MEMINFO_UNTRACKED_PREFIX + body
+
+
+class PipeCounters:
+    """Stands in for `counterhub._perf_event_open`. Each counter it opens
+    is the read end of a pipe holding the counts its reads return. An
+    event whose config `fail` maps to an errno opens `opens_before_failing`
+    times, then raises OSError with that errno."""
+
+    def __init__(self, counts=(100, 200), fail=None, opens_before_failing=0):
+        self.counts, self.fail = counts, fail or {}
+        self.opens_before_failing = opens_before_failing
+        self.opened = []  # the write end of each counter that opened
+        self.calls = 0
+        self._tries = Counter()
+
+    def __call__(self, attr):
+        self.calls += 1
+        self._tries[attr.config] += 1
+        if (attr.config in self.fail
+                and self._tries[attr.config] > self.opens_before_failing):
+            err = self.fail[attr.config]
+            raise OSError(err, os.strerror(err))
+        read_end, write_end = os.pipe()
+        os.write(write_end, b"".join(c.to_bytes(8, "little") for c in self.counts))
+        self.opened.append(write_end)
+        return read_end
+
+    def all_closed(self) -> bool:
+        """Whether every counter that opened has been closed: a write to a
+        pipe without a reader fails."""
+        for write_end in self.opened:
+            try:
+                os.write(write_end, b"x")
+            except BrokenPipeError:
+                continue
+            return False
+        return True
+
+
+@pytest.fixture
+def pipe_counters(monkeypatch):
+    """Installs a PipeCounters made from the given arguments; closes each
+    pipe's write end afterwards."""
+    made = []
+
+    def install(**kwargs):
+        made.append(PipeCounters(**kwargs))
+        monkeypatch.setattr(counterhub, "_perf_event_open", made[-1])
+        return made[-1]
+
+    yield install
+    for counters in made:
+        for write_end in counters.opened:
+            os.close(write_end)
 
 
 @pytest.fixture

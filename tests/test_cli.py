@@ -9,9 +9,9 @@ from pathlib import Path
 import pytest
 
 import pagescope
-from pagescope import blockmesh, hugepagectl, tlbsim
+from pagescope import blockmesh, counterhub, hugepagectl, tlbsim
 from pagescope.cli import _build_run_config, build_parser, main
-from pagescope.counterhub import ALL_EVENTS, EventId, RealOsBackend
+from pagescope.counterhub import ALL_EVENTS, EventId
 from pagescope.hugepagectl import THP_ENABLED_PATH
 
 
@@ -196,7 +196,7 @@ def test_render_formats(tmp_path, capsys):
     assert table_path.read_text() == table
 
     assert main(["render", "--report", str(report_path), "--format", "csv"]) == 0
-    assert capsys.readouterr().out.startswith("region,measure,")
+    assert capsys.readouterr().out.startswith("label,region,measure,")
 
     svg_path = tmp_path / "chart.svg"
     assert main(["render", "--report", str(report_path), "--format", "svg",
@@ -250,9 +250,28 @@ def test_render_csv_of_two_reports_has_one_header(tmp_path, capsys):
     capsys.readouterr()
     assert main(["render", *paths, "--format", "csv"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines.count("region,measure,without_hp,with_hp,ratio") == 1
-    assert lines[0] == "region,measure,without_hp,with_hp,ratio"
-    assert {line.split(",")[0] for line in lines[1:]} == {"zone-sweep", "block-sweep"}
+    assert lines.count("label,region,measure,without_hp,with_hp,ratio") == 1
+    assert lines[0] == "label,region,measure,without_hp,with_hp,ratio"
+    assert {line.split(",")[1] for line in lines[1:]} == {"zone-sweep", "block-sweep"}
+
+
+def test_render_csv_tells_two_reports_of_one_workload_apart(tmp_path, capsys):
+    # Every row leads with its report's label, as the table heads each block.
+    paths = []
+    for label in ("zone", "zone2"):
+        main(_sim_run_args(tmp_path / label, label=label))
+        paths += ["--report", str(next((tmp_path / label).glob("report-*.json")))]
+    capsys.readouterr()
+    assert main(["render", *paths, "--format", "csv"]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header == "label,region,measure,without_hp,with_hp,ratio"
+    zone = [row.split(",", 1) for row in rows[:len(rows) // 2]]
+    zone2 = [row.split(",", 1) for row in rows[len(rows) // 2:]]
+    assert zone and {label for label, _ in zone} == {"zone"}
+    assert {label for label, _ in zone2} == {"zone2"}
+    # The same simulated run under two labels: only the label differs.
+    assert [rest for _, rest in zone] == [rest for _, rest in zone2]
+    assert len(set(rows)) == len(rows)
 
 
 def test_render_table_heads_each_report_with_its_label(tmp_path, capsys):
@@ -390,6 +409,7 @@ def _truncated_config(tmp_path):
     _config_file({"monitor_cadence_s": True}),
     _config_file({"monitor_cadence_s": 1e300}),
     _config_file({"monitor_cadence_s": float("inf")}),
+    _config_file({"monitor_cadence_s": 1e-9}),
     _config_file({"simulated_increments": {
         "baseline": {"PERF_COUNT_HW_CPU_CYCLES": 900},
         "treatment": {"PERF_COUNT_HW_CPU_CYCLES": 900},
@@ -414,6 +434,7 @@ def _truncated_config(tmp_path):
         "config-line-bytes-bool", "config-line-bytes-string", "config-freq-bool",
         "config-freq-string", "config-freq-huge-int", "config-strict-unknown-key",
         "config-cadence-bool", "config-cadence-huge", "config-cadence-inf",
+        "config-cadence-below-floor",
         "config-increments-unknown-role",
         "config-truncated-json"])
 def test_bad_run_flags_are_bad_configuration(tmp_path, capsys, monkeypatch, flags):
@@ -483,9 +504,10 @@ def test_run_backend_is_real_unless_simulate_counters(tmp_path, capsys, monkeypa
     assert _build_run_config(parse(["run"])).backend == "real"
     assert _build_run_config(parse(["run", "--simulate-counters"])).backend == "simulated"
     # A host whose counters cannot be programmed: one error, then the hint.
-    monkeypatch.setattr(RealOsBackend, "probe",
-                        classmethod(lambda cls, events=ALL_EVENTS:
-                                    {ev: "denied" for ev in events}))
+    def deny(attr):
+        raise OSError(13, "Permission denied")
+
+    monkeypatch.setattr(counterhub, "_perf_event_open", deny)
     assert main(["run", "--workload", "zone-sweep", "--layout", "2,4,4,2,2",
                  "--out", str(tmp_path)]) == 3
     out, err = capsys.readouterr()
@@ -494,6 +516,55 @@ def test_run_backend_is_real_unless_simulate_counters(tmp_path, capsys, monkeypa
     assert error.startswith("error: ")
     assert hint.startswith("hint: pass --simulate-counters")
     assert not list(tmp_path.glob("report-*.json"))
+
+
+def _one_counter_error(capsys, tmp_path) -> str:
+    """The `error:` line of a run that ended on its counters, after
+    checking it was followed by the hint alone and wrote nothing."""
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    error, hint = err.splitlines()
+    assert hint == "hint: pass --simulate-counters for a hardware-free run"
+    assert not list(tmp_path.glob("report-*.json"))
+    return error
+
+
+def test_real_run_opens_each_counter_once_per_role(tmp_path, capsys, pipe_counters):
+    counters = pipe_counters()
+    assert main(["run", "--workload", "zone-sweep", "--layout", "2,4,4,2,2",
+                 "--out", str(tmp_path)]) == 0
+    # Two roles of six events each, and no separate probe before them.
+    assert counters.calls == len(counters.opened) == 2 * len(ALL_EVENTS)
+    report = json.loads(next(tmp_path.glob("report-*.json")).read_text())
+    totals = report["runs"]["treatment"]["regions"]["zone-sweep"]["totals"]
+    assert totals == {ev.value: 100 for ev in ALL_EVENTS}
+
+
+def test_a_counter_running_backward_is_a_counter_error(tmp_path, capsys,
+                                                       pipe_counters):
+    pipe_counters(counts=(100, 40))
+    assert main(["run", "--workload", "zone-sweep", "--layout", "2,4,4,2,2",
+                 "--out", str(tmp_path)]) == 3
+    error = _one_counter_error(capsys, tmp_path)
+    assert re.fullmatch(r"error: [A-Z_-]+ decreased: 100 -> 40", error), error
+
+
+def test_an_event_that_stops_opening_is_a_counter_error(tmp_path, capsys,
+                                                        pipe_counters):
+    # Two events open for the baseline, as they would for a probe, and
+    # fail for the treatment: one line names both, and every counter that
+    # opened is closed again, so its pipe has no reader left.
+    counters = pipe_counters(fail={counterhub._ARM_SVE_INST_RETIRED_RAW: 2,
+                                   counterhub._PERF_COUNT_HW_CACHE_MISSES: 13},
+                             opens_before_failing=1)
+    assert main(["run", "--workload", "zone-sweep", "--layout", "2,4,4,2,2",
+                 "--out", str(tmp_path)]) == 3
+    assert _one_counter_error(capsys, tmp_path) == (
+        "error: events not programmable: {'PERF_COUNT_HW_CACHE_MISSES': "
+        "'Permission denied; check kernel.perf_event_paranoid', "
+        "'SVE_INST_RETIRED': 'No such file or directory'}")
+    assert counters.calls == 2 * len(ALL_EVENTS) and len(counters.opened) == 10
+    assert counters.all_closed()
 
 
 def test_run_flags_override_config_file_fields(tmp_path):

@@ -4,12 +4,9 @@ from pagescope import counterhub as ch
 from pagescope.blockmesh import UnkLayout
 from pagescope.counterhub import (
     ALL_EVENTS,
-    CounterWentBackward,
+    CounterUnavailable,
     EventId,
-    PermissionDenied,
     SimulatedBackend,
-    UnknownEventName,
-    UnsupportedEvent,
     open_session,
 )
 from pagescope.hugepagectl import HugePageMode
@@ -48,7 +45,7 @@ def test_empty_event_set_rejected():
 
 
 def test_unknown_event_name_rejected():
-    with pytest.raises(UnknownEventName):
+    with pytest.raises(ValueError, match="^unknown event name: 'NOT_AN_EVENT'$"):
         ch.parse_event_names("NOT_AN_EVENT")
 
 
@@ -98,7 +95,8 @@ class _BrokenBackend:
 def test_counter_went_backward_detected():
     session = open_session(_BrokenBackend(), {EventId.CpuCycles})
     session.read()
-    with pytest.raises(CounterWentBackward):
+    with pytest.raises(CounterUnavailable,
+                       match="^PERF_COUNT_HW_CPU_CYCLES decreased: 100 -> 40$"):
         session.read()
 
 
@@ -107,8 +105,9 @@ def test_realos_permission_denied(monkeypatch):
         raise OSError(13, "Permission denied")
 
     monkeypatch.setattr(ch, "_perf_event_open", deny)
-    with pytest.raises(PermissionDenied, match="^DTLB-LOAD-MISSES: Permission "
-                       "denied; check kernel.perf_event_paranoid$"):
+    with pytest.raises(CounterUnavailable, match="^events not programmable: "
+                       "{'DTLB-LOAD-MISSES': 'Permission denied; check "
+                       "kernel.perf_event_paranoid'}$"):
         open_session(ch.RealOsBackend(), {EventId.DtlbLoadMisses})
 
 
@@ -117,9 +116,23 @@ def test_realos_unsupported_event(monkeypatch):
         raise OSError(2, "No such file or directory")
 
     monkeypatch.setattr(ch, "_perf_event_open", missing)
-    with pytest.raises(UnsupportedEvent,
-                       match="^SVE_INST_RETIRED: No such file or directory$"):
+    with pytest.raises(CounterUnavailable, match="^events not programmable: "
+                       "{'SVE_INST_RETIRED': 'No such file or directory'}$"):
         open_session(ch.RealOsBackend(), {EventId.SveInstRetired})
+
+
+def test_realos_open_names_every_failing_event_and_closes_the_rest(pipe_counters):
+    counters = pipe_counters(fail={ch._ARM_SVE_INST_RETIRED_RAW: 2,
+                                   ch._PERF_COUNT_HW_CACHE_MISSES: 13})
+    with pytest.raises(CounterUnavailable) as err:
+        open_session(ch.RealOsBackend(), ALL_EVENTS)
+    assert str(err.value) == (
+        "events not programmable: {'PERF_COUNT_HW_CACHE_MISSES': 'Permission "
+        "denied; check kernel.perf_event_paranoid', 'SVE_INST_RETIRED': "
+        "'No such file or directory'}")
+    # Every event was tried, and each of the four that opened was closed.
+    assert counters.calls == len(ALL_EVENTS) and len(counters.opened) == 4
+    assert counters.all_closed()
 
 
 def test_realos_probe_reports_per_event(monkeypatch):
